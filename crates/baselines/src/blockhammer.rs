@@ -23,7 +23,7 @@
 
 use mithril_dram::{BankId, Ddr5Timing, RowId, TimePs};
 use mithril_fasthash::FastHashMap;
-use mithril_memctrl::{McAction, McMitigation};
+use mithril_memctrl::{McAction, McMitigation, ReleaseChange};
 use mithril_trackers::{CountingBloomFilter, FrequencyTracker};
 
 /// BlockHammer configuration.
@@ -133,13 +133,17 @@ struct BankState {
 /// let t = Ddr5Timing::ddr5_4800();
 /// let cfg = BlockHammerConfig::for_flip_threshold(1_500, &t);
 /// let mut bh = BlockHammer::new(cfg, 1);
-/// // Hammer one row past NBL: its next ACT gets delayed.
+/// // Hammer one row past NBL: its next ACT is held until tDelay after
+/// // the last one (an absolute release time).
 /// let mut now = 0;
 /// for _ in 0..cfg.nbl + 1 {
 ///     bh.on_activate(0, 42, 0, now);
 ///     now += t.trc;
 /// }
-/// assert!(bh.activate_allowed_at(0, 42, 0, now) > now);
+/// let last = now - t.trc;
+/// assert_eq!(bh.activate_allowed_at(0, 42, 0), last + cfg.t_delay());
+/// // Rows below NBL are unconstrained.
+/// assert_eq!(bh.activate_allowed_at(0, 43, 0), 0);
 /// ```
 #[derive(Debug)]
 pub struct BlockHammer {
@@ -148,6 +152,9 @@ pub struct BlockHammer {
     /// Epoch half-period boundary bookkeeping: which CBF clears next.
     next_swap: TimePs,
     swap_parity: usize,
+    /// An epoch swap ran since the last [`McMitigation::take_release_change`]:
+    /// it clears every bank's blacklist, moving releases everywhere.
+    swapped: bool,
     throttled_rows: u64,
 }
 
@@ -173,6 +180,7 @@ impl BlockHammer {
                 .collect(),
             next_swap: config.t_cbf / 2,
             swap_parity: 0,
+            swapped: false,
             config,
             throttled_rows: 0,
         }
@@ -265,6 +273,7 @@ impl BlockHammer {
             }
             self.swap_parity ^= 1;
             self.next_swap += self.config.t_cbf / 2;
+            self.swapped = true;
         }
     }
 }
@@ -292,13 +301,24 @@ impl McMitigation for BlockHammer {
         McAction::None
     }
 
-    fn activate_allowed_at(&self, bank: BankId, row: RowId, _thread: usize, now: TimePs) -> TimePs {
+    /// A blacklisted row releases `tDelay` after its last activation.
+    /// Both inputs change only in `on_activate`: on the activated bank,
+    /// or on every bank when the lazy epoch swap fires.
+    fn activate_allowed_at(&self, bank: BankId, row: RowId, _thread: usize) -> TimePs {
         if !self.is_blacklisted(bank, row) {
-            return now;
+            return 0;
         }
-        match self.banks[bank].last_act.get(&row) {
-            Some(&last) => now.max(last + self.config.t_delay()),
-            None => now,
+        self.banks[bank]
+            .last_act
+            .get(&row)
+            .map_or(0, |&last| last + self.config.t_delay())
+    }
+
+    fn take_release_change(&mut self) -> ReleaseChange {
+        if std::mem::take(&mut self.swapped) {
+            ReleaseChange::All
+        } else {
+            ReleaseChange::None
         }
     }
 
@@ -371,10 +391,11 @@ mod tests {
             bh.on_activate(0, 5, 0, now);
             now += 50_000;
         }
-        let release = bh.activate_allowed_at(0, 5, 0, now);
+        let release = bh.activate_allowed_at(0, 5, 0);
         assert!(release > now);
+        assert_eq!(release, now - 50_000 + bh.config().t_delay());
         // Non-blacklisted rows are unaffected.
-        assert_eq!(bh.activate_allowed_at(0, 6, 0, now), now);
+        assert_eq!(bh.activate_allowed_at(0, 6, 0), 0);
     }
 
     #[test]
@@ -421,10 +442,15 @@ mod tests {
             now += 1_000;
         }
         assert!(bh.is_blacklisted(0, 5));
+        assert_eq!(bh.take_release_change(), ReleaseChange::None);
         // After both half-epochs pass, the counts are gone.
         let later = cfg.t_cbf + cfg.t_cbf / 2 + 1;
         bh.on_activate(0, 99, 0, later);
         assert!(!bh.is_blacklisted(0, 5));
+        assert_eq!(bh.activate_allowed_at(0, 5, 0), 0);
+        // The swap moved releases on every bank, and says so once.
+        assert_eq!(bh.take_release_change(), ReleaseChange::All);
+        assert_eq!(bh.take_release_change(), ReleaseChange::None);
     }
 
     #[test]

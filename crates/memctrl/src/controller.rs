@@ -16,7 +16,10 @@
 //!   the last command (dirty-bitset invalidation). Global constraints that
 //!   slide with time — the controller clock, the shared data bus, rank
 //!   tRRD/tFAW — are applied as clamps at selection time so cached
-//!   candidates stay valid without recomputation.
+//!   candidates stay valid without recomputation. Throttle releases are
+//!   absolute times that change only inside executed commands, and their
+//!   sources report which banks they touched ([`ReleaseChange`]), so
+//!   throttled activation picks are cached the same way.
 //! * **Naive rescan**: the original O(banks) full enumeration per command,
 //!   kept as the reference implementation for differential testing
 //!   (`tests/event_core_diff.rs`).
@@ -32,7 +35,7 @@ use mithril_obs::{
 };
 
 use crate::bliss::{Bliss, BlissConfig};
-use crate::mitigation::{McAction, McMitigation};
+use crate::mitigation::{McAction, McMitigation, ReleaseChange};
 use crate::qos::{QosPolicy, QosState, QosStats};
 use crate::request::MemRequest;
 
@@ -272,15 +275,22 @@ enum Cand {
         pos: u32,
     },
     Pre,
-    Act {
-        pos: u32,
-        throttled: bool,
-        /// The throttle release came specifically from the QoS token
-        /// bucket (a dry suspect deferred to the window boundary). Carried
-        /// in the candidate because it cannot be recomputed at execute
-        /// time: by then the window may have rotated and refilled tokens.
-        qos_throttled: bool,
-    },
+    Act(ActPick),
+}
+
+/// A cached activation pick: the FR-FCFS winner among the requests
+/// released by the lane's candidate time, the winner's two releases (for
+/// the throttle flags, decided at selection) and the next release after
+/// the candidate time. The pick holds until the selection-time clamps
+/// reach `next_release`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ActPick {
+    pos: u32,
+    mit_release: TimePs,
+    qos_release: TimePs,
+    /// Smallest release later than the candidate time; `TimePs::MAX`
+    /// when none is (always so without throttling).
+    next_release: TimePs,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -308,6 +318,10 @@ enum Action {
         bank: BankId,
         pos: usize,
         throttled: bool,
+        /// The throttle release came specifically from the QoS token
+        /// bucket (a dry suspect deferred to the window boundary). Decided
+        /// at selection because it cannot be recomputed at execute time:
+        /// by then the window may have rotated and refilled tokens.
         qos_throttled: bool,
     },
 }
@@ -359,10 +373,6 @@ pub struct MemoryController<S: EventSink = NullSink> {
     config: McConfig,
     scheduler: SchedulerKind,
     mitigation: Box<dyn McMitigation>,
-    /// Cached `mitigation.may_throttle() || qos on`: when true, activation
-    /// release times can change step to step and every bank recomputes
-    /// each step.
-    throttling: bool,
     /// Multi-tenant QoS layer (suspect scoring + token-bucket throttle);
     /// `None` under [`QosPolicy::Off`], leaving the controller
     /// entry-by-entry identical to a build without the subsystem.
@@ -427,13 +437,11 @@ impl<S: EventSink> MemoryController<S> {
         let nranks = device.geometry().ranks;
         let trefi = device.timing().trefi;
         let words = nbanks.div_ceil(64);
-        let throttling = mitigation.may_throttle();
         let mut mc = Self {
             device,
             config,
             scheduler,
             mitigation,
-            throttling,
             qos: None,
             bliss: config.bliss.map(Bliss::new),
             lanes: (0..nbanks).map(|_| BankLane::default()).collect(),
@@ -623,16 +631,13 @@ impl<S: EventSink> MemoryController<S> {
     }
 
     /// Installs (or removes) the multi-tenant QoS policy. With any policy
-    /// other than [`QosPolicy::Off`] the controller enters throttling
-    /// mode: activation release times can change between steps, so both
-    /// scheduler cores recompute every bank each step — the conservative
-    /// fallback that keeps them decision-identical under any throttle.
+    /// other than [`QosPolicy::Off`], dry suspect threads' activations
+    /// release at the QoS window boundary (see the [`crate::qos`] docs).
     ///
     /// Call before advancing the controller; switching policies mid-run
     /// is supported but resets no QoS state.
     pub fn set_qos(&mut self, policy: QosPolicy) {
         self.qos = QosState::new(policy);
-        self.throttling = self.mitigation.may_throttle() || self.qos.is_some();
         self.mark_all_dirty();
     }
 
@@ -640,18 +645,6 @@ impl<S: EventSink> MemoryController<S> {
     /// so QoS-off reports carry no QoS section at all.
     pub fn qos_stats(&self) -> Option<QosStats> {
         self.qos.as_ref().map(|q| q.stats())
-    }
-
-    /// Advances the command loop until no action can issue at or before
-    /// `end`, returning all completions produced.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a Vec per call; use `advance_until_into` with a reused buffer"
-    )]
-    pub fn advance_until(&mut self, end: TimePs) -> Vec<Completion> {
-        let mut out = Vec::new();
-        self.advance_until_into(end, &mut out);
-        out
     }
 
     /// Advances the command loop until no action can issue at or before
@@ -698,7 +691,7 @@ impl<S: EventSink> MemoryController<S> {
                     if cleared {
                         // Blacklist changes reorder request priorities on
                         // every bank.
-                        self.mark_all_dirty();
+                        self.invalidate(ReleaseChange::All);
                         if S::ENABLED {
                             self.obs.emit(t, Event::BlissClear);
                         }
@@ -720,6 +713,16 @@ impl<S: EventSink> MemoryController<S> {
     fn mark_dirty_range(&mut self, lo: BankId, hi: BankId) {
         for b in lo..hi {
             self.mark_dirty(b);
+        }
+    }
+
+    /// Dirties the lanes a release change (or a BLISS priority change)
+    /// invalidated.
+    fn invalidate(&mut self, change: ReleaseChange) {
+        match change {
+            ReleaseChange::None => {}
+            ReleaseChange::Bank(b) => self.mark_dirty(b),
+            ReleaseChange::All => self.mark_all_dirty(),
         }
     }
 
@@ -757,9 +760,8 @@ impl<S: EventSink> MemoryController<S> {
     /// Recomputes bank `b`'s cached candidate. Mirrors the decision logic
     /// of `bank_candidates` exactly, but stores *base* times: constraints
     /// that slide with the clock (clock itself, the data bus, rank
-    /// tRRD/tFAW, throttle releases) are left to selection-time clamps —
-    /// except in throttling mode, where the release time is folded in here
-    /// because every bank is recomputed each step anyway.
+    /// tRRD/tFAW) are left to selection-time clamps. Throttle releases are
+    /// absolute, so they are folded in here (see [`Self::act_pick`]).
     fn recompute_lane(&mut self, b: BankId) {
         let bank = self.device.bank(b);
         let open = bank.open_row();
@@ -801,33 +803,9 @@ impl<S: EventSink> MemoryController<S> {
                 None => {
                     if lane.queue.is_empty() {
                         (Cand::Idle, 0)
-                    } else if self.throttling {
-                        let (pos, t, throttled, qos_throttled) = self
-                            .best_activation(b, lane)
-                            .expect("non-empty queue yields an activation");
-                        (
-                            Cand::Act {
-                                pos: pos as u32,
-                                throttled,
-                                qos_throttled,
-                            },
-                            t,
-                        )
                     } else {
-                        // Without throttling every queued request releases
-                        // at `now`, so the FR-FCFS order is independent of
-                        // the activation time: (blacklisted, arrival, pos).
-                        let pos = self
-                            .best_act_stable(lane)
-                            .expect("non-empty queue yields an activation");
-                        (
-                            Cand::Act {
-                                pos: pos as u32,
-                                throttled: false,
-                                qos_throttled: false,
-                            },
-                            bank.earliest_activate(),
-                        )
+                        let (t, pick) = self.act_pick(b, lane, bank.earliest_activate());
+                        (Cand::Act(pick), t)
                     }
                 }
             }
@@ -851,14 +829,6 @@ impl<S: EventSink> MemoryController<S> {
     /// first-wins enumeration order (see ARCHITECTURE.md), so both cores
     /// pick the same action.
     fn next_candidate_event(&mut self) -> Option<(TimePs, Action)> {
-        if self.throttling {
-            // Throttle releases slide with the clock (`now + delay`
-            // mitigations) or flip with executed commands (QoS token
-            // buckets), so cached activation candidates go stale every
-            // step.
-            self.mark_all_dirty();
-            self.obs_lane(self.clock, 0, LaneCause::Throttle);
-        }
         self.refresh_dirty_candidates();
 
         let geometry = *self.device.geometry();
@@ -939,7 +909,7 @@ impl<S: EventSink> MemoryController<S> {
                             (clock.max(lane.cand_time).max(bus_ready), PRIO_COLUMN)
                         }
                         Cand::Pre => (clock.max(lane.cand_time), PRIO_PRE),
-                        Cand::Act { .. } => (clock.max(lane.cand_time).max(rank_floor), PRIO_ACT),
+                        Cand::Act(_) => (clock.max(lane.cand_time).max(rank_floor), PRIO_ACT),
                     };
                     consider!(t, prio, b, Pick::Lane(b));
                 }
@@ -960,34 +930,81 @@ impl<S: EventSink> MemoryController<S> {
                     pos: pos as usize,
                 },
                 Cand::Pre => Action::Pre { bank },
-                Cand::Act {
-                    pos,
-                    throttled,
-                    qos_throttled,
-                } => Action::Act {
-                    bank,
-                    pos: pos as usize,
-                    throttled,
-                    qos_throttled,
-                },
+                Cand::Act(cached) => {
+                    // The naive core's activation floor for this bank.
+                    let base = self.device.earliest_activate(bank, clock);
+                    let pick = if t >= cached.next_release {
+                        // The clamps passed a later release, which may
+                        // join the winner set: re-pick this lane at `t`.
+                        let (at, pick) = self.act_pick(bank, &self.lanes[bank], base);
+                        debug_assert_eq!(at, t, "re-pick moved the activation time");
+                        pick
+                    } else {
+                        cached
+                    };
+                    let pos = pick.pos as usize;
+                    let throttled = pick.mit_release.max(pick.qos_release) > base;
+                    let qos_throttled = pick.qos_release > base.max(pick.mit_release);
+                    // A release that changed without a `ReleaseChange`
+                    // report leaves a stale pick behind; a fresh rescan
+                    // exposes it.
+                    debug_assert_eq!(
+                        self.best_activation(bank, &self.lanes[bank]),
+                        Some((pos, t, throttled, qos_throttled)),
+                        "cached activation pick on bank {bank} is stale"
+                    );
+                    Action::Act {
+                        bank,
+                        pos,
+                        throttled,
+                        qos_throttled,
+                    }
+                }
             },
         };
         Some((t, action))
     }
 
-    /// Stable FR-FCFS activation choice when no throttling is in play:
-    /// every request releases at `now`, so the naive key
-    /// (time, blacklisted, arrival, pos) collapses to
-    /// (blacklisted, arrival, pos).
-    fn best_act_stable(&self, lane: &BankLane) -> Option<usize> {
-        let mut best: Option<(bool, TimePs, usize)> = None;
+    /// The event core's activation pick for lane `b` with activation
+    /// floor `base`: the naive key `(max(base, release), blacklisted,
+    /// arrival, pos)` minimised in one pass, returned with its time. The
+    /// pick also records the smallest release later than that time, so it
+    /// stays the naive answer for every higher floor below that release.
+    /// Without throttling every release is 0 and the key reduces to the
+    /// FR-FCFS order `(blacklisted, arrival, pos)`.
+    fn act_pick(&self, b: BankId, lane: &BankLane, base: TimePs) -> (TimePs, ActPick) {
+        let mut at = TimePs::MAX;
+        let mut next_release = TimePs::MAX;
+        let mut best: Option<((bool, TimePs, usize), TimePs, TimePs)> = None;
         for (i, req) in lane.queue.iter().enumerate() {
+            let (mit, qos) = self.releases(b, req);
+            let t = base.max(mit.max(qos));
+            if t > at {
+                next_release = next_release.min(t);
+                continue;
+            }
+            if t < at {
+                // Every request seen so far releases later than this one.
+                next_release = at;
+                at = t;
+                best = None;
+            }
             let key = (self.is_blacklisted(req.thread), req.arrival, i);
-            if best.is_none_or(|b| key < b) {
-                best = Some(key);
+            if best.is_none_or(|(k, _, _)| key < k) {
+                best = Some((key, mit, qos));
             }
         }
-        best.map(|(_, _, i)| i)
+        let ((_, _, pos), mit_release, qos_release) =
+            best.expect("non-empty queue yields an activation");
+        (
+            at,
+            ActPick {
+                pos: pos as u32,
+                mit_release,
+                qos_release,
+                next_release,
+            },
+        )
     }
 
     // ------------------------------------------------ naive-core candidates
@@ -1144,13 +1161,7 @@ impl<S: EventSink> MemoryController<S> {
         let base = self.device.earliest_activate(b, self.clock);
         let mut best: Option<(TimePs, bool, TimePs, usize, bool, bool)> = None;
         for (i, req) in bq.queue.iter().enumerate() {
-            let mit_release =
-                self.mitigation
-                    .activate_allowed_at(b, req.addr.row, req.thread, self.clock);
-            let qos_release = self
-                .qos
-                .as_ref()
-                .map_or(0, |q| q.activate_allowed_at(req.thread));
+            let (mit_release, qos_release) = self.releases(b, req);
             let release = mit_release.max(qos_release);
             let t = base.max(release);
             let key = (
@@ -1166,6 +1177,20 @@ impl<S: EventSink> MemoryController<S> {
             }
         }
         best.map(|(t, _, _, i, throttled, qos_throttled)| (i, t, throttled, qos_throttled))
+    }
+
+    /// A queued request's absolute activation releases: the mitigation's
+    /// and the QoS layer's (0 = unconstrained).
+    #[inline]
+    fn releases(&self, b: BankId, req: &MemRequest) -> (TimePs, TimePs) {
+        let mit = self
+            .mitigation
+            .activate_allowed_at(b, req.addr.row, req.thread);
+        let qos = self
+            .qos
+            .as_ref()
+            .map_or(0, |q| q.activate_allowed_at(req.thread));
+        (mit, qos)
     }
 
     fn is_blacklisted(&self, thread: usize) -> bool {
@@ -1199,9 +1224,11 @@ impl<S: EventSink> MemoryController<S> {
         // Rotate QoS score windows before the command's effects land, so
         // both scheduler cores rotate at identical points of the
         // (identical) command stream.
-        if let Some(q) = &mut self.qos {
-            q.tick(now);
-        }
+        let change = self
+            .qos
+            .as_mut()
+            .map_or(ReleaseChange::None, |q| q.tick(now));
+        self.invalidate(change);
         match action {
             Action::Ref { rank } => {
                 if !self.device.can_refresh_rank(rank, now) {
@@ -1214,6 +1241,8 @@ impl<S: EventSink> MemoryController<S> {
                 for (bank, lo, hi) in ranges {
                     self.mitigation.on_auto_refresh(bank, lo, hi);
                 }
+                let change = self.mitigation.take_release_change();
+                self.invalidate(change);
                 self.next_ref[rank.0] += self.device.timing().trefi;
                 self.stats.refs += 1;
                 let lo = rank.0 * self.device.geometry().banks_per_rank;
@@ -1352,7 +1381,7 @@ impl<S: EventSink> MemoryController<S> {
                     None => false,
                 };
                 if blacklist_changed {
-                    self.mark_all_dirty();
+                    self.invalidate(ReleaseChange::All);
                     self.obs_lane(now, bank, LaneCause::BlissChange);
                 }
                 self.log_cmd(
@@ -1393,9 +1422,11 @@ impl<S: EventSink> MemoryController<S> {
                     self.stats.throttled_acts += 1;
                     core.throttled_acts += 1;
                 }
-                if let Some(q) = &mut self.qos {
-                    q.on_act(req.thread, qos_throttled);
-                }
+                let change = self
+                    .qos
+                    .as_mut()
+                    .map_or(ReleaseChange::None, |q| q.on_act(req.thread, qos_throttled));
+                self.invalidate(change);
                 if self.config.rfm_mode != RfmMode::Disabled {
                     self.lanes[bank].raa += 1;
                     if self.lanes[bank].raa >= self.config.rfm_th && !self.lanes[bank].rfm_pending {
@@ -1442,10 +1473,12 @@ impl<S: EventSink> MemoryController<S> {
                     self.obs_fault_deltas(now, bank, pre_faults);
                 }
                 self.log_cmd(now, CommandKind::Act, bank, req.addr.row);
-                match self
+                let reaction = self
                     .mitigation
-                    .on_activate(bank, req.addr.row, req.thread, now)
-                {
+                    .on_activate(bank, req.addr.row, req.thread, now);
+                let change = self.mitigation.take_release_change();
+                self.invalidate(change);
+                match reaction {
                     McAction::None => {}
                     McAction::Arr {
                         bank: target,
@@ -1764,9 +1797,6 @@ mod tests {
                     victims: vec![row.saturating_sub(1), row + 1],
                 }
             }
-            fn may_throttle(&self) -> bool {
-                false
-            }
             fn name(&self) -> &'static str {
                 "arr-every"
             }
@@ -1793,7 +1823,7 @@ mod tests {
 
     #[test]
     fn throttling_mitigation_delays_acts() {
-        /// Delays every ACT of thread 0 by 1 µs.
+        /// Holds every ACT of thread 0 until 1 µs.
         struct DelayThread0;
         impl McMitigation for DelayThread0 {
             fn on_activate(
@@ -1805,17 +1835,11 @@ mod tests {
             ) -> McAction {
                 McAction::None
             }
-            fn activate_allowed_at(
-                &self,
-                _bank: BankId,
-                _row: RowId,
-                thread: usize,
-                now: TimePs,
-            ) -> TimePs {
+            fn activate_allowed_at(&self, _bank: BankId, _row: RowId, thread: usize) -> TimePs {
                 if thread == 0 {
-                    now + PS_PER_US
+                    PS_PER_US
                 } else {
-                    now
+                    0
                 }
             }
             fn name(&self) -> &'static str {

@@ -58,6 +58,6 @@ pub use controller::{
     RfmMode, SchedulerKind,
 };
 pub use mapping::{AddressMapping, MappedAddr};
-pub use mitigation::{McAction, McMitigation, NoMcMitigation};
+pub use mitigation::{McAction, McMitigation, NoMcMitigation, ReleaseChange};
 pub use qos::{QosConfig, QosPolicy, QosStats, QosThreadStats, ThrottleKind};
 pub use request::MemRequest;

@@ -8,6 +8,24 @@
 //!   remedy deprecated in DDR5 but used by prior work);
 //! * **throttling** — delaying future activations of a row/thread
 //!   (BlockHammer).
+//!
+//! # The release contract
+//!
+//! A throttle is an **absolute simulated time**: [`activate_allowed_at`]
+//! returns the earliest time a request may activate, with 0 meaning
+//! "unconstrained". A scheme's releases may change only inside
+//! [`on_activate`] and [`on_auto_refresh`]; after each of those calls the
+//! controller takes [`take_release_change`], which names the banks whose
+//! releases moved. The event-driven scheduler caches each bank's
+//! activation pick and recomputes it only for the banks named there (and
+//! the banks the command itself touched), so a release that changes
+//! without being reported would make the two scheduler cores diverge —
+//! debug builds check every event-core ACT against a fresh rescan.
+//!
+//! [`activate_allowed_at`]: McMitigation::activate_allowed_at
+//! [`on_activate`]: McMitigation::on_activate
+//! [`on_auto_refresh`]: McMitigation::on_auto_refresh
+//! [`take_release_change`]: McMitigation::take_release_change
 
 use mithril_dram::{BankId, RowId, TimePs};
 
@@ -25,7 +43,27 @@ pub enum McAction {
     },
 }
 
+/// Which banks' activation releases changed — the invalidation report a
+/// throttle source hands the scheduler.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ReleaseChange {
+    /// No release changed.
+    #[default]
+    None,
+    /// Releases of requests on this bank changed.
+    Bank(BankId),
+    /// Releases may have changed on every bank.
+    All,
+}
+
 /// A controller-side Row Hammer mitigation.
+///
+/// Throttling schemes implement [`activate_allowed_at`] and
+/// [`take_release_change`] under the release contract of the module docs;
+/// ARR-only schemes implement neither.
+///
+/// [`activate_allowed_at`]: McMitigation::activate_allowed_at
+/// [`take_release_change`]: McMitigation::take_release_change
 ///
 /// # Example
 ///
@@ -61,10 +99,11 @@ pub trait McMitigation {
     fn on_activate(&mut self, bank: BankId, row: RowId, thread: usize, now: TimePs) -> McAction;
 
     /// Earliest time the controller may activate `row` on `bank` for
-    /// `thread` — the throttling hook. Non-throttling schemes return `now`.
-    fn activate_allowed_at(&self, bank: BankId, row: RowId, thread: usize, now: TimePs) -> TimePs {
+    /// `thread` — the throttling hook. An absolute simulated time, not a
+    /// delay from now; 0 (the default) means unconstrained.
+    fn activate_allowed_at(&self, bank: BankId, row: RowId, thread: usize) -> TimePs {
         let _ = (bank, row, thread);
-        now
+        0
     }
 
     /// Auto-refresh notification for `bank` rows `lo..hi` (TWiCe-style
@@ -73,17 +112,16 @@ pub trait McMitigation {
         let _ = (bank, lo, hi);
     }
 
-    /// Whether [`activate_allowed_at`] can ever return a time later than
-    /// `now`. The event-driven scheduler caches per-bank activation
-    /// candidates; a throttling mitigation's release times slide with the
-    /// clock (`now + delay`), so candidates must be recomputed every step
-    /// when this returns `true`. Non-throttling schemes should override to
-    /// `false` to keep the incremental fast path enabled. The default is
-    /// `true` (conservative: always correct, never fast).
+    /// Takes the release changes made by the [`on_activate`] and
+    /// [`on_auto_refresh`] calls since the last take. The controller calls
+    /// it after each of them. A change confined to the activated bank, or
+    /// to the refreshed rank, needs no report: the controller recomputes
+    /// those banks anyway. Default: nothing changed.
     ///
-    /// [`activate_allowed_at`]: McMitigation::activate_allowed_at
-    fn may_throttle(&self) -> bool {
-        true
+    /// [`on_activate`]: McMitigation::on_activate
+    /// [`on_auto_refresh`]: McMitigation::on_auto_refresh
+    fn take_release_change(&mut self) -> ReleaseChange {
+        ReleaseChange::None
     }
 
     /// Scheme name for reporting.
@@ -105,10 +143,6 @@ impl McMitigation for NoMcMitigation {
         McAction::None
     }
 
-    fn may_throttle(&self) -> bool {
-        false
-    }
-
     fn name(&self) -> &'static str {
         "none"
     }
@@ -122,7 +156,8 @@ mod tests {
     fn no_mitigation_never_acts() {
         let mut m = NoMcMitigation;
         assert_eq!(m.on_activate(0, 0, 0, 0), McAction::None);
-        assert_eq!(m.activate_allowed_at(0, 0, 0, 42), 42);
+        assert_eq!(m.activate_allowed_at(0, 0, 0), 0);
+        assert_eq!(m.take_release_change(), ReleaseChange::None);
         assert_eq!(m.name(), "none");
     }
 }

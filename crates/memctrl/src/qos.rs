@@ -30,7 +30,9 @@
 //!   window; once dry, further ACTs of that thread release only at the
 //!   **window boundary** (an absolute simulated time, so both scheduler
 //!   cores compute the identical release — see the decision-identity
-//!   notes in ARCHITECTURE.md).
+//!   notes in ARCHITECTURE.md). Releases change only at a rotation or
+//!   when a suspect spends its last token, and both report a
+//!   [`ReleaseChange`] so the event core recomputes its cached picks.
 //!
 //! All state is integer-only and advances only on executed commands at
 //! simulated times, so QoS preserves the workspace determinism contract:
@@ -39,6 +41,8 @@
 //! build without this module.
 
 use mithril_dram::TimePs;
+
+use crate::mitigation::ReleaseChange;
 
 /// Score units added per pressure event (RFM arming / mitigation
 /// trigger). Scores are kept in these fixed-point units so the noise
@@ -163,12 +167,17 @@ impl QosState {
     /// Rotates score windows until `now` is inside the current one.
     /// Called once per executed command, before the command's effects,
     /// so both scheduler cores rotate at identical points of the
-    /// (identical) command stream.
-    pub(crate) fn tick(&mut self, now: TimePs) {
+    /// (identical) command stream. A rotation moves the window boundary
+    /// and re-elects suspects, so it reports every bank's releases as
+    /// changed.
+    pub(crate) fn tick(&mut self, now: TimePs) -> ReleaseChange {
+        let mut change = ReleaseChange::None;
         while now >= self.window_end {
             self.rotate();
             self.window_end += self.cfg.window_ps;
+            change = ReleaseChange::All;
         }
+        change
     }
 
     /// One window rotation: decay + absorb pressure, re-elect suspects,
@@ -205,15 +214,21 @@ impl QosState {
     }
 
     /// Charges an executed ACT: suspects spend a token; a deferred ACT
-    /// (qos_throttled, as computed at selection) is tallied.
-    pub(crate) fn on_act(&mut self, thread: usize, qos_throttled: bool) {
+    /// (qos_throttled, as computed at selection) is tallied. Spending the
+    /// last token defers the thread's requests on every bank, so that is
+    /// reported as a change to all of them.
+    pub(crate) fn on_act(&mut self, thread: usize, qos_throttled: bool) -> ReleaseChange {
         let t = self.slot(thread);
-        if t.suspect && t.tokens > 0 {
-            t.tokens -= 1;
-        }
         if qos_throttled {
             t.throttled_acts += 1;
         }
+        if t.suspect && t.tokens > 0 {
+            t.tokens -= 1;
+            if t.tokens == 0 {
+                return ReleaseChange::All;
+            }
+        }
+        ReleaseChange::None
     }
 
     /// Charges one pressure event (RFM arming or mitigation trigger) to
@@ -322,8 +337,18 @@ mod tests {
         assert_eq!(q.activate_allowed_at(1), 0);
         // The suspect still has tokens, so it is not deferred yet.
         assert_eq!(q.activate_allowed_at(0), 0);
-        for _ in 0..q.cfg.tokens_per_window {
-            q.on_act(0, false);
+        for spent in 1..=q.cfg.tokens_per_window {
+            let change = q.on_act(0, false);
+            let dry = spent == q.cfg.tokens_per_window;
+            assert_eq!(
+                change,
+                if dry {
+                    ReleaseChange::All
+                } else {
+                    ReleaseChange::None
+                },
+                "only the last token moves a release"
+            );
         }
         assert_eq!(
             q.activate_allowed_at(0),
@@ -351,7 +376,8 @@ mod tests {
     #[test]
     fn tick_catches_up_multiple_windows() {
         let mut q = state(QosConfig::default());
-        q.tick(5 * q.cfg.window_ps);
+        assert_eq!(q.tick(q.cfg.window_ps - 1), ReleaseChange::None);
+        assert_eq!(q.tick(5 * q.cfg.window_ps), ReleaseChange::All);
         assert_eq!(q.stats().windows, 5);
         assert_eq!(q.window_end, 6 * q.cfg.window_ps);
     }

@@ -9,8 +9,9 @@
 
 use mithril_dram::{Ddr5Timing, DramDevice, Geometry, NoMitigation, RowId, TimePs, PS_PER_US};
 use mithril_memctrl::{
-    MappedAddr, McAction, McConfig, McMitigation, MemRequest, MemoryController, NoMcMitigation,
-    QosConfig, QosPolicy, RfmMode, SchedulerKind, ThrottleKind,
+    MappedAddr, McAction, McConfig, McMitigation, McStats, MemRequest, MemoryController,
+    NoMcMitigation, QosConfig, QosPolicy, QosStats, ReleaseChange, RfmMode, SchedulerKind,
+    ThrottleKind,
 };
 use mithril_obs::{Event, RingSink};
 use proptest::prelude::*;
@@ -36,32 +37,102 @@ impl McMitigation for ArrEveryK {
             McAction::None
         }
     }
-    fn may_throttle(&self) -> bool {
-        false
-    }
     fn name(&self) -> &'static str {
         "arr-every-k"
     }
 }
 
-/// Deterministic throttling mitigation: delays even threads' ACTs by a
-/// bank-dependent amount (exercises the event core's conservative
-/// recompute-every-step fallback).
-struct DelayEvenThreads;
+/// Records each bank's last ACT time — the state the throttling fixtures
+/// derive their absolute releases from. It changes only inside
+/// `on_activate` and only for the activated bank; a fixture whose
+/// releases on that bank depend on it needs no report, because the
+/// controller recomputes the activated bank anyway.
+#[derive(Default)]
+struct LastAct(Vec<TimePs>);
+
+impl LastAct {
+    fn record(&mut self, bank: usize, now: TimePs) {
+        if bank >= self.0.len() {
+            self.0.resize(bank + 1, 0);
+        }
+        self.0[bank] = now;
+    }
+
+    /// `delay` after the bank's last ACT; unconstrained before its first.
+    fn after(&self, bank: usize, delay: TimePs) -> TimePs {
+        self.0.get(bank).map_or(0, |&last| last + delay)
+    }
+}
+
+/// Deterministic throttling mitigation: holds even threads' ACTs until a
+/// bank-dependent delay after the bank's last ACT; odd threads are never
+/// held.
+#[derive(Default)]
+struct DelayEvenThreads(LastAct);
 
 impl McMitigation for DelayEvenThreads {
-    fn on_activate(&mut self, _bank: usize, _row: RowId, _thread: usize, _now: TimePs) -> McAction {
+    fn on_activate(&mut self, bank: usize, _row: RowId, _thread: usize, now: TimePs) -> McAction {
+        self.0.record(bank, now);
         McAction::None
     }
-    fn activate_allowed_at(&self, bank: usize, _row: RowId, thread: usize, now: TimePs) -> TimePs {
+    fn activate_allowed_at(&self, bank: usize, _row: RowId, thread: usize) -> TimePs {
         if thread.is_multiple_of(2) {
-            now + (bank as TimePs % 3 + 1) * 50_000
+            self.0.after(bank, (bank as TimePs % 3 + 1) * 50_000)
         } else {
-            now
+            0
         }
     }
     fn name(&self) -> &'static str {
         "delay-even-threads"
+    }
+}
+
+/// Deterministic throttling mitigation whose releases differ per row:
+/// a row's ACT is held until `(row % 8) × 20 ns` after its bank's last
+/// ACT. Queued requests on one bank release at staggered times a few
+/// tRRD apart, so cached activation picks are overtaken by later
+/// releases between selections.
+#[derive(Default)]
+struct RowStaggered(LastAct);
+
+impl McMitigation for RowStaggered {
+    fn on_activate(&mut self, bank: usize, _row: RowId, _thread: usize, now: TimePs) -> McAction {
+        self.0.record(bank, now);
+        McAction::None
+    }
+    fn activate_allowed_at(&self, bank: usize, row: RowId, _thread: usize) -> TimePs {
+        self.0.after(bank, (row % 8) * 20_000)
+    }
+    fn name(&self) -> &'static str {
+        "row-staggered"
+    }
+}
+
+/// Cross-bank throttling fixture: an ACT on bank `b` holds the ACTs of
+/// its sibling bank `b ^ 1` for 60 ns, and reports that sibling as the
+/// one bank whose releases changed.
+#[derive(Default)]
+struct SiblingHold {
+    acts: LastAct,
+    changed: Option<usize>,
+}
+
+impl McMitigation for SiblingHold {
+    fn on_activate(&mut self, bank: usize, _row: RowId, _thread: usize, now: TimePs) -> McAction {
+        self.acts.record(bank, now);
+        self.changed = Some(bank ^ 1);
+        McAction::None
+    }
+    fn activate_allowed_at(&self, bank: usize, _row: RowId, _thread: usize) -> TimePs {
+        self.acts.after(bank ^ 1, 60_000)
+    }
+    fn take_release_change(&mut self) -> ReleaseChange {
+        self.changed
+            .take()
+            .map_or(ReleaseChange::None, ReleaseChange::Bank)
+    }
+    fn name(&self) -> &'static str {
+        "sibling-hold"
     }
 }
 
@@ -96,14 +167,14 @@ fn external_events(mc: &mut MemoryController<RingSink>) -> Vec<(u64, Event)> {
 /// Drives two controllers through the same enqueue/advance interleaving
 /// and asserts every observable output matches: completions, stats,
 /// device state, command log, observability events, and QoS outcomes.
-/// Returns the (agreed) QoS stats so callers can assert the run was not
-/// vacuous.
+/// Returns the (agreed) controller and QoS stats so callers can assert
+/// the run was not vacuous.
 fn assert_controllers_agree(
     geometry: Geometry,
     mut event: MemoryController<RingSink>,
     mut naive: MemoryController<RingSink>,
     reqs: &[Req],
-) -> Option<mithril_memctrl::QosStats> {
+) -> (McStats, Option<QosStats>) {
     let nbanks = geometry.banks_total();
     let mut done_event = Vec::new();
     let mut done_naive = Vec::new();
@@ -165,7 +236,7 @@ fn assert_controllers_agree(
         assert_eq!(e, n, "observability event {i} diverges");
     }
     assert_eq!(event.qos_stats(), naive.qos_stats(), "QoS outcomes diverge");
-    event.qos_stats()
+    (event.stats().clone(), event.qos_stats())
 }
 
 /// Drives both scheduler cores (optionally with a QoS policy applied)
@@ -271,14 +342,27 @@ proptest! {
         );
     }
 
-    /// Throttling mitigation: the event core must fall back to
-    /// recompute-every-step and still match the naive core exactly.
+    /// Throttling mitigation: the event core caches throttled
+    /// activation picks and must still match the naive core exactly.
     #[test]
     fn throttling_mitigation_matches(reqs in batches(100)) {
         assert_cores_agree(
             Geometry::default(),
             McConfig::default(),
-            || Box::new(DelayEvenThreads),
+            || Box::<DelayEvenThreads>::default(),
+            &reqs,
+        );
+    }
+
+    /// Per-row releases: a bank's queued requests release at different
+    /// times, so the selection-time clamps overtake a cached pick's next
+    /// release and the lane is re-picked at selection.
+    #[test]
+    fn per_row_releases_match(reqs in batches(120)) {
+        assert_cores_agree(
+            Geometry::default(),
+            McConfig::default(),
+            || Box::<RowStaggered>::default(),
             &reqs,
         );
     }
@@ -299,6 +383,46 @@ proptest! {
             cfg,
             || Box::new(NoMcMitigation),
             aggressive_qos(),
+            &reqs,
+        );
+    }
+
+    /// Cross-bank releases: each ACT moves its sibling bank's releases
+    /// and reports exactly that bank.
+    #[test]
+    fn sibling_bank_releases_match(reqs in batches(120)) {
+        assert_cores_agree(
+            Geometry::default(),
+            McConfig::default(),
+            || Box::<SiblingHold>::default(),
+            &reqs,
+        );
+    }
+
+    /// A one-token bucket with long windows and BLISS off: every ACT a
+    /// suspect issues runs it dry, and no blacklist change or window
+    /// rotation refreshes the other banks' cached picks for it, so only
+    /// the bucket's own release-change report keeps the cores in step.
+    #[test]
+    fn qos_one_token_matches(reqs in batches(120)) {
+        let cfg = McConfig {
+            rfm_mode: RfmMode::Standard,
+            rfm_th: 4,
+            bliss: None,
+            ..Default::default()
+        };
+        let qos = QosConfig {
+            kind: ThrottleKind::TokenBucket,
+            window_ps: 2_000_000,
+            share_pct: 30,
+            min_score: 8,
+            tokens_per_window: 1,
+        };
+        assert_cores_agree_qos(
+            Geometry::default(),
+            cfg,
+            || Box::new(NoMcMitigation),
+            QosPolicy::Throttle(qos),
             &reqs,
         );
     }
@@ -377,8 +501,9 @@ fn adversarial_hammer_matches_under_qos() {
     );
     event.set_qos(aggressive_qos());
     naive.set_qos(aggressive_qos());
-    let qos =
-        assert_controllers_agree(geometry, event, naive, &reqs).expect("QoS-on run reports stats");
+    let qos = assert_controllers_agree(geometry, event, naive, &reqs)
+        .1
+        .expect("QoS-on run reports stats");
     assert!(qos.windows > 0, "windows must rotate over this horizon");
     assert!(
         qos.throttled_acts > 0,
@@ -429,4 +554,48 @@ fn idle_refresh_schedule_matches() {
         || Box::new(NoMcMitigation),
         &[],
     );
+}
+
+/// The throttling fixtures are not vacuous: on a fixed hammer-plus-victim
+/// stream both cores agree while each fixture defers some ACTs and not
+/// others (and `DelayEvenThreads` never defers an odd thread).
+#[test]
+fn throttling_fixtures_defer_some_acts_and_not_others() {
+    let geometry = Geometry::default();
+    let mut reqs = Vec::new();
+    for i in 0..200u64 {
+        reqs.push(((i % 3) as usize, i % 16, 0, false, (i % 4) as usize, i % 2));
+    }
+    let fixtures: [fn() -> Box<dyn McMitigation>; 3] = [
+        || Box::<DelayEvenThreads>::default(),
+        || Box::<RowStaggered>::default(),
+        || Box::<SiblingHold>::default(),
+    ];
+    for (f, mk) in fixtures.iter().enumerate() {
+        let event = build(
+            geometry,
+            McConfig::default(),
+            mk(),
+            SchedulerKind::EventQueue,
+        );
+        let naive = build(
+            geometry,
+            McConfig::default(),
+            mk(),
+            SchedulerKind::NaiveRescan,
+        );
+        let (stats, _) = assert_controllers_agree(geometry, event, naive, &reqs);
+        assert!(stats.throttled_acts > 0, "fixture {f} deferred nothing");
+        assert!(
+            stats.throttled_acts < stats.acts,
+            "fixture {f} deferred every ACT"
+        );
+        if f == 0 {
+            for (thread, core) in stats.per_core.iter() {
+                if thread % 2 == 1 {
+                    assert_eq!(core.throttled_acts, 0, "odd thread {thread} deferred");
+                }
+            }
+        }
+    }
 }

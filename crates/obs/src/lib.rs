@@ -383,8 +383,6 @@ pub enum LaneCause {
     RefSegment,
     /// The BLISS blacklist changed, reordering every lane's priorities.
     BlissChange,
-    /// Throttling is active: per-cycle fallback marks all lanes dirty.
-    Throttle,
 }
 
 impl LaneCause {
@@ -396,7 +394,6 @@ impl LaneCause {
             LaneCause::ArrTarget => "arr_target",
             LaneCause::RefSegment => "ref_segment",
             LaneCause::BlissChange => "bliss_change",
-            LaneCause::Throttle => "throttle",
         }
     }
 }
