@@ -30,9 +30,7 @@
 use std::collections::VecDeque;
 
 use mithril_dram::{BankId, DramDevice, FaultStats, RankId, RowId, TimePs};
-use mithril_obs::{
-    Event, EventSink, LaneCause, LatencyHistogram, NullSink, PerCore, TrackerObservation,
-};
+use mithril_obs::{Event, EventSink, LatencyHistogram, NullSink, PerCore, TrackerObservation};
 
 use crate::bliss::{Bliss, BlissConfig};
 use crate::mitigation::{McAction, McMitigation, ReleaseChange};
@@ -518,20 +516,6 @@ impl<S: EventSink> MemoryController<S> {
         self.device.engine(bank).fault_stats().unwrap_or_default()
     }
 
-    /// Emits a lane-invalidation event (obs-on builds only).
-    #[inline]
-    fn obs_lane(&mut self, at: TimePs, bank: BankId, cause: LaneCause) {
-        if S::ENABLED {
-            self.obs.emit(
-                at,
-                Event::LaneInvalidate {
-                    bank: bank as u32,
-                    cause,
-                },
-            );
-        }
-    }
-
     /// Emits fault inject/detect/repair events for any counter movement
     /// on `bank`'s engine since `pre` (obs-on builds only; call sites
     /// guard with `S::ENABLED`).
@@ -594,7 +578,6 @@ impl<S: EventSink> MemoryController<S> {
             req.addr.bank
         );
         self.mark_dirty(req.addr.bank);
-        self.obs_lane(self.clock, req.addr.bank, LaneCause::Enqueue);
         self.lanes[req.addr.bank].queue.push_back(req);
     }
 
@@ -692,9 +675,6 @@ impl<S: EventSink> MemoryController<S> {
                         // Blacklist changes reorder request priorities on
                         // every bank.
                         self.invalidate(ReleaseChange::All);
-                        if S::ENABLED {
-                            self.obs.emit(t, Event::BlissClear);
-                        }
                     }
                     self.execute(action, t);
                 }
@@ -1257,14 +1237,12 @@ impl<S: EventSink> MemoryController<S> {
                             banks: (hi - lo) as u32,
                         },
                     );
-                    self.obs_lane(now, lo, LaneCause::RefSegment);
                 }
                 self.log_cmd(now, CommandKind::Ref, lo, 0);
             }
             Action::MaintPre { bank } | Action::Pre { bank } => {
                 self.device.issue_precharge(bank, now);
                 self.mark_dirty(bank);
-                self.obs_lane(now, bank, LaneCause::Execute);
                 let kind = if matches!(action, Action::MaintPre { .. }) {
                     CommandKind::MaintPre
                 } else {
@@ -1284,7 +1262,6 @@ impl<S: EventSink> MemoryController<S> {
                         self.mark_dirty(bank);
                         if S::ENABLED {
                             self.obs.emit(now, Event::RfmElided { bank: bank as u32 });
-                            self.obs_lane(now, bank, LaneCause::Execute);
                         }
                         self.log_cmd(now, CommandKind::RfmElided, bank, 0);
                         return;
@@ -1317,7 +1294,6 @@ impl<S: EventSink> MemoryController<S> {
                             skipped,
                         },
                     );
-                    self.obs_lane(now, bank, LaneCause::Execute);
                     self.obs_fault_deltas(now, bank, pre_faults);
                 }
                 self.log_cmd(now, CommandKind::Rfm, bank, 0);
@@ -1338,7 +1314,6 @@ impl<S: EventSink> MemoryController<S> {
                             victims: victims.len() as u32,
                         },
                     );
-                    self.obs_lane(now, bank, LaneCause::Execute);
                 }
                 self.log_cmd(now, CommandKind::Arr, bank, victims.len() as RowId);
             }
@@ -1375,14 +1350,12 @@ impl<S: EventSink> MemoryController<S> {
                     self.stats.total_read_latency += latency;
                 }
                 self.mark_dirty(bank);
-                self.obs_lane(now, bank, LaneCause::Execute);
                 let blacklist_changed = match &mut self.bliss {
                     Some(bl) => bl.on_request_served(req.thread, now),
                     None => false,
                 };
                 if blacklist_changed {
                     self.invalidate(ReleaseChange::All);
-                    self.obs_lane(now, bank, LaneCause::BlissChange);
                 }
                 self.log_cmd(
                     now,
@@ -1450,7 +1423,6 @@ impl<S: EventSink> MemoryController<S> {
                             row: req.addr.row,
                         },
                     );
-                    self.obs_lane(now, bank, LaneCause::Execute);
                     let post = self.tracker_obs(bank);
                     if post.evictions > pre_obs.evictions {
                         self.obs.emit(
@@ -1499,7 +1471,6 @@ impl<S: EventSink> MemoryController<S> {
                                     victims: victims.len() as u32,
                                 },
                             );
-                            self.obs_lane(now, target, LaneCause::ArrTarget);
                         }
                         self.lanes[target].arr_queue.push_back(victims);
                         self.mark_dirty(target);

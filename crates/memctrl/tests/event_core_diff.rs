@@ -2,9 +2,7 @@
 //! *decision-identical* to the retained naive rescan core — identical
 //! command streams (kind, bank, row, issue time), identical controller and
 //! device statistics, identical completions, and identical observability
-//! event streams (after filtering the scheduler-internal kinds
-//! `lane_invalidate`/`bliss_clear`, whose cadence is an implementation
-//! detail of each core) — on random and adversarial workloads, across
+//! event streams — on random and adversarial workloads, across
 //! geometries and mitigation styles.
 
 use mithril_dram::{Ddr5Timing, DramDevice, Geometry, NoMitigation, RowId, TimePs, PS_PER_US};
@@ -152,16 +150,12 @@ fn build(
     mc
 }
 
-/// The cross-core-comparable projection of an event stream: everything
-/// except the scheduler-internal kinds (candidate-lane invalidation
-/// cadence and BLISS clear notifications differ between cores by design).
-fn external_events(mc: &mut MemoryController<RingSink>) -> Vec<(u64, Event)> {
+/// The controller's drained event stream (asserting the ring never
+/// wrapped, so the comparison sees every event).
+fn events(mc: &mut MemoryController<RingSink>) -> Vec<(u64, Event)> {
     let sink = mc.obs_mut();
     assert_eq!(sink.dropped(), 0, "ring wrapped; grow the test capacity");
     sink.take_events()
-        .into_iter()
-        .filter(|(_, ev)| !matches!(ev, Event::LaneInvalidate { .. } | Event::BlissClear))
-        .collect()
 }
 
 /// Drives two controllers through the same enqueue/advance interleaving
@@ -225,8 +219,8 @@ fn assert_controllers_agree(
     for (i, (e, n)) in log_event.iter().zip(&log_naive).enumerate() {
         assert_eq!(e, n, "command {i} diverges");
     }
-    let ev_event = external_events(&mut event);
-    let ev_naive = external_events(&mut naive);
+    let ev_event = events(&mut event);
+    let ev_naive = events(&mut naive);
     assert_eq!(
         ev_event.len(),
         ev_naive.len(),

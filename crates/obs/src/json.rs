@@ -1,5 +1,5 @@
 //! A minimal, dependency-free JSON reader for the workspace's own report
-//! dialect.
+//! dialect, plus the string escaper its writers share.
 //!
 //! Every report in this repository is *written* by hand-rendered,
 //! deterministic emitters; this module is the matching *reader* so
@@ -9,6 +9,27 @@
 //! have fixed field order, and diffs read better that way), numbers are
 //! held as `f64` (report magnitudes stay well inside the exact integer
 //! range), and duplicate keys resolve to the first occurrence.
+//!
+//! [`esc`] is the writers' one string escaper: every emitter renders free
+//! text (scenario names, error messages, warnings) through it, so its
+//! output always parses here.
+
+/// Escapes `s` for the inside of a JSON string literal: `"` and `\` get
+/// a backslash, newline becomes `\n`, and every other control character
+/// below U+0020 becomes a `\u00XX` escape, as RFC 8259 requires.
+pub fn esc(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -236,6 +257,9 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
+                Some(c) if c < 0x20 => {
+                    return Err(self.err("unescaped control character in string"))
+                }
                 Some(_) => {
                     // Consume one UTF-8 character; `pos` only ever stops
                     // on ASCII structure bytes, so it is a char boundary.
@@ -348,5 +372,23 @@ mod tests {
         assert!(Json::parse("{} trailing").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("nul").is_err());
+        // RFC 8259: control characters inside strings must be escaped.
+        assert!(Json::parse("\"a\nb\"").is_err());
+        assert!(Json::parse("\"tab\there\"").is_err());
+    }
+
+    #[test]
+    fn escaper_output_parses_back_to_the_input() {
+        for raw in [
+            "plain",
+            "q\"uote\\back",
+            "line\nfeed\ttab\r\u{1}\u{1f}",
+            "é/ü",
+        ] {
+            let doc = format!("\"{}\"", esc(raw));
+            assert_eq!(Json::parse(&doc).unwrap().as_str(), Some(raw), "{doc}");
+        }
+        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(esc("\u{1}"), "\\u0001");
     }
 }

@@ -95,7 +95,7 @@ pub fn validate_format_version(json: &str) -> Result<(), String> {
 pub fn warnings_json(warnings: &[String]) -> String {
     let quoted: Vec<String> = warnings
         .iter()
-        .map(|w| format!("\"{}\"", w.replace('\\', "\\\\").replace('"', "\\\"")))
+        .map(|w| format!("\"{}\"", json::esc(w)))
         .collect();
     quoted.join(", ")
 }
@@ -368,36 +368,6 @@ impl<T: Default> PerCore<T> {
 
 // ---------------------------------------------------------------- events
 
-/// Why the event-driven controller core invalidated a per-bank scheduler
-/// lane (forcing a candidate recompute). Mirrors the invalidation rules
-/// in ARCHITECTURE.md's event-core section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneCause {
-    /// A new request was enqueued onto the bank.
-    Enqueue,
-    /// A command executed on the bank (its own lane state changed).
-    Execute,
-    /// The bank became the target of a queued ARR.
-    ArrTarget,
-    /// A rank-segment auto-refresh touched the bank.
-    RefSegment,
-    /// The BLISS blacklist changed, reordering every lane's priorities.
-    BlissChange,
-}
-
-impl LaneCause {
-    /// Stable lower-snake name used in JSONL output.
-    pub fn name(self) -> &'static str {
-        match self {
-            LaneCause::Enqueue => "enqueue",
-            LaneCause::Execute => "execute",
-            LaneCause::ArrTarget => "arr_target",
-            LaneCause::RefSegment => "ref_segment",
-            LaneCause::BlissChange => "bliss_change",
-        }
-    }
-}
-
 /// One structured, typed observability event. Timestamps ride separately
 /// (see [`EventSink::emit`]); payloads are the minimal coordinates needed
 /// to interpret the transition.
@@ -488,20 +458,10 @@ pub enum Event {
         /// Repairs performed.
         count: u64,
     },
-    /// The event core invalidated `bank`'s scheduler lane.
-    LaneInvalidate {
-        /// Flat bank index within the channel.
-        bank: u32,
-        /// What dirtied the lane.
-        cause: LaneCause,
-    },
-    /// BLISS cleared its blacklist (interval rollover or served-streak
-    /// change forcing a full candidate refresh).
-    BlissClear,
 }
 
 /// Number of event kinds (the length of [`KIND_NAMES`]).
-pub const KINDS: usize = 13;
+pub const KINDS: usize = 11;
 
 /// Stable lower-snake names of the event kinds, indexed by
 /// [`Event::kind_index`]. Order is append-only: new kinds go at the end
@@ -518,8 +478,6 @@ pub const KIND_NAMES: [&str; KINDS] = [
     "fault_inject",
     "fault_detect",
     "fault_repair",
-    "lane_invalidate",
-    "bliss_clear",
 ];
 
 impl Event {
@@ -537,8 +495,6 @@ impl Event {
             Event::FaultInject { .. } => 8,
             Event::FaultDetect { .. } => 9,
             Event::FaultRepair { .. } => 10,
-            Event::LaneInvalidate { .. } => 11,
-            Event::BlissClear => 12,
         }
     }
 
@@ -548,8 +504,7 @@ impl Event {
     }
 
     /// Renders the kind-specific payload fields as JSON object members
-    /// (no braces), e.g. `"bank":3,"row":55`. Empty for payload-free
-    /// kinds.
+    /// (no braces), e.g. `"bank":3,"row":55`.
     pub fn payload_json(&self) -> String {
         match *self {
             Event::Act { bank, row } => format!("\"bank\":{bank},\"row\":{row}"),
@@ -581,10 +536,6 @@ impl Event {
             Event::FaultInject { bank, count }
             | Event::FaultDetect { bank, count }
             | Event::FaultRepair { bank, count } => format!("\"bank\":{bank},\"count\":{count}"),
-            Event::LaneInvalidate { bank, cause } => {
-                format!("\"bank\":{bank},\"cause\":\"{}\"", cause.name())
-            }
-            Event::BlissClear => String::new(),
         }
     }
 }
@@ -976,12 +927,11 @@ impl ObsCapture {
         merged.sort_by_key(|&(at, channel, seq, _)| (at, channel, seq));
         let mut out = String::new();
         for (at, channel, _, ev) in merged {
-            let payload = ev.payload_json();
-            let sep = if payload.is_empty() { "" } else { "," };
             out.push_str(&format!(
-                "{{\"t_ps\":{at},\"cycle\":{},\"channel\":{channel},\"kind\":\"{}\"{sep}{payload}}}\n",
+                "{{\"t_ps\":{at},\"cycle\":{},\"channel\":{channel},\"kind\":\"{}\",{}}}\n",
                 at / self.cycle_ps,
                 ev.kind_name(),
+                ev.payload_json(),
             ));
         }
         out
@@ -1073,7 +1023,7 @@ mod tests {
         const { assert!(!NullSink::ENABLED) };
         // Emission through the trait is a no-op.
         let mut s = NullSink;
-        s.emit(1, Event::BlissClear);
+        s.emit(1, Event::FaultRepair { bank: 0, count: 1 });
     }
 
     #[test]
@@ -1082,7 +1032,7 @@ mod tests {
         for i in 0..5u64 {
             ring.emit(i, Event::Act { bank: 0, row: i });
         }
-        ring.emit(5, Event::BlissClear);
+        ring.emit(5, Event::FaultRepair { bank: 0, count: 1 });
         assert_eq!(ring.len(), 3);
         assert_eq!(ring.dropped(), 3);
         assert_eq!(ring.counts()[0], 5); // all five ACTs counted
@@ -1127,11 +1077,6 @@ mod tests {
             Event::FaultInject { bank: 0, count: 0 },
             Event::FaultDetect { bank: 0, count: 0 },
             Event::FaultRepair { bank: 0, count: 0 },
-            Event::LaneInvalidate {
-                bank: 0,
-                cause: LaneCause::Enqueue,
-            },
-            Event::BlissClear,
         ];
         assert_eq!(all.len(), KINDS);
         for (i, ev) in all.iter().enumerate() {
@@ -1194,7 +1139,7 @@ mod tests {
                 },
                 ChannelCapture {
                     channel: 1,
-                    events: vec![(4, Event::BlissClear)],
+                    events: vec![(4, Event::FaultRepair { bank: 3, count: 1 })],
                     counts: {
                         let mut c = [0; KINDS];
                         c[KINDS - 1] = 1;
@@ -1210,7 +1155,7 @@ mod tests {
         assert_eq!(lines.len(), 3);
         // Same timestamp: channel 0 sorts before channel 1.
         assert!(lines[0].contains("\"kind\":\"act\""), "{jsonl}");
-        assert!(lines[1].contains("\"kind\":\"bliss_clear\""), "{jsonl}");
+        assert!(lines[1].contains("\"kind\":\"fault_repair\""), "{jsonl}");
         assert!(lines[2].contains("\"aggressor\":7"), "{jsonl}");
         assert!(lines[0].contains("\"cycle\":2"), "{jsonl}");
 

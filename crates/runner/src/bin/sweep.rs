@@ -40,15 +40,14 @@
 //! foreign journal — exit nonzero with a one-line message, not a panic
 //! backtrace.
 
+use std::path::Path;
 use std::time::Instant;
 
 use mithril_runner::engine::{default_threads, PoolConfig};
-use mithril_runner::scenarios::{FaultCampaignSpec, QosCampaignSpec, SweepSpec};
-use mithril_runner::{
-    report, run_fault_campaign, run_qos_campaign, run_sweep_journaled_with, run_sweep_observed,
-    run_sweep_with, write_obs_outputs, Progress,
-};
-use mithril_sim::ObsConfig;
+use mithril_runner::report::{self, TenantSummary};
+use mithril_runner::scenarios::{FaultCampaignSpec, QosCampaignSpec, Scenario, SweepSpec};
+use mithril_runner::{run_passes, run_sweep_journaled, write_obs_outputs, Executed};
+use mithril_sim::{Metrics, ObsConfig};
 
 struct Args {
     smoke: bool,
@@ -160,12 +159,15 @@ fn write_report(path: &str, json: &str) {
     std::fs::write(path, json).unwrap_or_else(|e| die(format!("cannot write report {path}: {e}")));
 }
 
-fn base_spec(args: &Args) -> SweepSpec {
-    let mut spec = if args.smoke {
-        SweepSpec::smoke()
-    } else {
-        SweepSpec::full()
-    };
+/// What the invocation runs: a plain sweep, or one of the campaigns
+/// built as passes over a base grid.
+enum Mode {
+    Sweep(SweepSpec),
+    Faults(FaultCampaignSpec),
+    Qos(QosCampaignSpec),
+}
+
+fn with_overrides(mut spec: SweepSpec, args: &Args) -> SweepSpec {
     if let Some(insts) = args.insts {
         spec.insts_per_core = insts;
     }
@@ -175,145 +177,139 @@ fn base_spec(args: &Args) -> SweepSpec {
     spec
 }
 
-fn run_faults_mode(args: &Args, pool: PoolConfig) {
-    let mut spec = FaultCampaignSpec::smoke();
-    if !args.smoke {
-        spec.base = SweepSpec::full();
-    }
-    if let Some(insts) = args.insts {
-        spec.base.insts_per_core = insts;
-    }
-    if let Some(cores) = args.cores {
-        spec.base.cores = cores;
-    }
-    if let Some(rates) = &args.fault_rates {
-        spec.rates_ppm = rates.clone();
-    }
-    spec.scrub = args.scrub;
-
-    let n = spec.scenarios().len();
-    println!(
-        "# fault campaign: {n} runs ({} base scenarios x {} rates, scrub {})",
-        spec.base.scenarios().len(),
-        spec.rates_ppm.len(),
-        if spec.scrub { "on" } else { "off" }
-    );
-    println!(
-        "# engine: {} threads, shard size {}, base seed {}",
-        pool.threads, pool.shard_size, args.seed
-    );
-
-    let t0 = Instant::now();
-    let runs = run_fault_campaign(&spec, pool, args.seed);
-    let wall = t0.elapsed();
-
-    println!(
-        "{:<48} {:>9} {:>8} {:>12} {:>6} {:>9} {:>8}",
-        "run", "rate_ppm", "rfms", "disturb(max)", "flips", "injected", "repairs"
-    );
-    for r in &runs {
-        match &r.result.outcome {
-            Ok(m) => println!(
-                "{:<48} {:>9} {:>8} {:>12} {:>6} {:>9} {:>8}",
-                r.result.scenario.name,
-                r.rate_ppm,
-                m.rfms,
-                m.max_disturbance,
-                m.flips,
-                r.fault_stats.as_ref().map_or(0, |f| f.injected()),
-                r.fault_stats.as_ref().map_or(0, |f| f.repairs),
-            ),
-            Err(e) => println!("{:<48} unavailable: {e}", r.result.scenario.name),
+impl Mode {
+    fn of(args: &Args) -> Self {
+        if args.faults {
+            let mut spec = FaultCampaignSpec::smoke();
+            if !args.smoke {
+                spec.base = SweepSpec::full();
+            }
+            spec.base = with_overrides(spec.base, args);
+            if let Some(rates) = &args.fault_rates {
+                spec.rates_ppm = rates.clone();
+            }
+            spec.scrub = args.scrub;
+            Mode::Faults(spec)
+        } else if args.qos {
+            let spec = if args.smoke {
+                QosCampaignSpec::smoke()
+            } else {
+                QosCampaignSpec::full()
+            };
+            Mode::Qos(QosCampaignSpec {
+                base: with_overrides(spec.base, args),
+                ..spec
+            })
+        } else if args.smoke {
+            Mode::Sweep(with_overrides(SweepSpec::smoke(), args))
+        } else {
+            Mode::Sweep(with_overrides(SweepSpec::full(), args))
         }
     }
 
-    let out = args.out.as_deref().unwrap_or("BENCH_faults.json");
-    let json = report::faults_json(args.seed, spec.scrub, &spec.rates_ppm, &runs);
-    write_report(out, &json);
-    let ok = runs.iter().filter(|r| r.result.outcome.is_ok()).count();
-    println!(
-        "# {ok}/{} runs ok; wall-clock {:.2}s at {} threads; wrote {out}",
-        runs.len(),
-        wall.as_secs_f64(),
-        pool.threads,
-    );
+    fn passes(&self) -> Vec<Vec<Scenario>> {
+        match self {
+            Mode::Sweep(spec) => vec![spec.scenarios()],
+            Mode::Faults(spec) => spec.passes(),
+            Mode::Qos(spec) => spec.passes(),
+        }
+    }
+
+    fn header(&self, runs: usize) -> String {
+        match self {
+            Mode::Sweep(spec) => format!(
+                "# sweep: {runs} scenarios ({} geometries x {} schemes x {} workloads, minus skips)",
+                spec.geometries.len(),
+                spec.schemes.len(),
+                spec.workloads.len()
+            ),
+            Mode::Faults(spec) => format!(
+                "# fault campaign: {runs} runs ({} base scenarios x {} rates, scrub {})",
+                spec.base.scenarios().len(),
+                spec.rates_ppm.len(),
+                if spec.scrub { "on" } else { "off" }
+            ),
+            Mode::Qos(spec) => format!(
+                "# qos campaign: {runs} runs ({} base scenarios, off + throttled passes)",
+                spec.base.scenarios().len()
+            ),
+        }
+    }
+
+    fn default_out(&self) -> &'static str {
+        match self {
+            Mode::Sweep(_) => "BENCH_sweep.json",
+            Mode::Faults(_) => "BENCH_faults.json",
+            Mode::Qos(_) => "BENCH_qos.json",
+        }
+    }
+
+    fn columns(&self) -> &'static [&'static str] {
+        match self {
+            Mode::Sweep(_) => &["agg_ipc", "energy_pj", "rfms", "disturb(max)", "flips"],
+            Mode::Faults(_) => &[
+                "rate_ppm",
+                "rfms",
+                "disturb(max)",
+                "flips",
+                "injected",
+                "repairs",
+            ],
+            Mode::Qos(_) => &["victim_p99", "hammer_p99", "fairness", "flips", "qos_thr"],
+        }
+    }
+
+    fn cells(&self, run: &Executed, m: &Metrics) -> Vec<String> {
+        match self {
+            Mode::Sweep(_) => vec![
+                format!("{:.3}", m.aggregate_ipc),
+                format!("{:.3e}", m.energy_pj),
+                m.rfms.to_string(),
+                m.max_disturbance.to_string(),
+                m.flips.to_string(),
+            ],
+            Mode::Faults(_) => {
+                let stats = run.fault_stats.as_ref();
+                vec![
+                    run.result.scenario.fault_rate_ppm().to_string(),
+                    m.rfms.to_string(),
+                    m.max_disturbance.to_string(),
+                    m.flips.to_string(),
+                    stats.map_or(0, |f| f.injected()).to_string(),
+                    stats.map_or(0, |f| f.repairs).to_string(),
+                ]
+            }
+            Mode::Qos(_) => {
+                let t = TenantSummary::of(m);
+                vec![
+                    t.victim_p99_ps.to_string(),
+                    t.hammer_p99_ps.to_string(),
+                    format!("{:.3}", t.fairness_acts),
+                    t.flips.to_string(),
+                    t.qos_throttled_acts.to_string(),
+                ]
+            }
+        }
+    }
+
+    fn report(&self, seed: u64, runs: Vec<Executed>) -> String {
+        if let Mode::Faults(spec) = self {
+            return report::faults_json(seed, spec.scrub, &spec.rates_ppm, &runs);
+        }
+        let results: Vec<_> = runs.into_iter().map(|r| r.result).collect();
+        match self {
+            Mode::Qos(_) => report::qos_campaign_json(seed, &results),
+            _ => report::sweep_json(seed, &results),
+        }
+    }
 }
 
-fn run_qos_mode(args: &Args, pool: PoolConfig) {
-    let mut spec = if args.smoke {
-        QosCampaignSpec::smoke()
-    } else {
-        QosCampaignSpec::full()
-    };
-    if let Some(insts) = args.insts {
-        spec.base.insts_per_core = insts;
+fn table_row(name: &str, cells: impl IntoIterator<Item = impl std::fmt::Display>) -> String {
+    let mut row = format!("{name:<48}");
+    for cell in cells {
+        row.push_str(&format!(" {cell:>12}"));
     }
-    if let Some(cores) = args.cores {
-        spec.base.cores = cores;
-    }
-
-    let n = spec.scenarios().len();
-    println!(
-        "# qos campaign: {n} runs ({} base scenarios, off + throttled passes)",
-        spec.base.scenarios().len()
-    );
-    println!(
-        "# engine: {} threads, shard size {}, base seed {}",
-        pool.threads, pool.shard_size, args.seed
-    );
-
-    let heartbeat = args.progress.then(|| Progress::new(n));
-    let t0 = Instant::now();
-    let results = run_qos_campaign(&spec, pool, args.seed, heartbeat.as_ref());
-    let wall = t0.elapsed();
-
-    println!(
-        "{:<48} {:>12} {:>12} {:>9} {:>6} {:>9}",
-        "run", "victim_p99", "hammer_p99", "fairness", "flips", "qos_thr"
-    );
-    for r in &results {
-        match &r.outcome {
-            Ok(m) => {
-                let hammer = m.per_core.iter().map(|(core, _)| core).max();
-                let victim_p99 = m
-                    .per_core
-                    .iter()
-                    .filter(|(core, _)| Some(*core) != hammer)
-                    .map(|(_, c)| c.read_latency.p99())
-                    .max()
-                    .unwrap_or(0);
-                let hammer_p99 = hammer
-                    .and_then(|h| m.per_core.get(h))
-                    .map_or(0, |c| c.read_latency.p99());
-                let acts: Vec<u64> = m.per_core.iter().map(|(_, c)| c.acts).collect();
-                let fairness = match (acts.iter().min(), acts.iter().max()) {
-                    (Some(&lo), Some(&hi)) if hi > 0 => lo as f64 / hi as f64,
-                    _ => 0.0,
-                };
-                println!(
-                    "{:<48} {:>12} {:>12} {:>9.3} {:>6} {:>9}",
-                    r.scenario.name,
-                    victim_p99,
-                    hammer_p99,
-                    fairness,
-                    m.flips,
-                    m.qos.as_ref().map_or(0, |q| q.throttled_acts)
-                );
-            }
-            Err(e) => println!("{:<48} unavailable: {e}", r.scenario.name),
-        }
-    }
-
-    let out = args.out.as_deref().unwrap_or("BENCH_qos.json");
-    let json = report::qos_campaign_json(args.seed, &results);
-    write_report(out, &json);
-    let ok = results.iter().filter(|r| r.outcome.is_ok()).count();
-    println!(
-        "# {ok}/{} runs ok; wall-clock {:.2}s at {} threads; wrote {out}",
-        results.len(),
-        wall.as_secs_f64(),
-        pool.threads,
-    );
+    row
 }
 
 fn main() {
@@ -322,98 +318,57 @@ fn main() {
         threads: args.threads,
         shard_size: args.shard_size,
     };
-    if args.faults {
-        run_faults_mode(&args, pool);
-        return;
-    }
-    if args.qos {
-        run_qos_mode(&args, pool);
-        return;
-    }
-
-    let spec = base_spec(&args);
-    let n = spec.scenarios().len();
-    println!(
-        "# sweep: {n} scenarios ({} geometries x {} schemes x {} workloads, minus skips)",
-        spec.geometries.len(),
-        spec.schemes.len(),
-        spec.workloads.len()
-    );
+    let mode = Mode::of(&args);
+    let passes = mode.passes();
+    let n: usize = passes.iter().map(Vec::len).sum();
+    println!("{}", mode.header(n));
     println!(
         "# engine: {} threads, shard size {}, base seed {}",
         pool.threads, pool.shard_size, args.seed
     );
 
-    let out = args.out.as_deref().unwrap_or("BENCH_sweep.json");
+    let out = args.out.as_deref().unwrap_or(mode.default_out());
     let t0 = Instant::now();
-    if let Some(journal) = &args.journal {
-        let sweep = run_sweep_journaled_with(
-            &spec,
-            pool,
-            args.seed,
-            std::path::Path::new(journal),
-            args.resume,
-            args.progress,
-        )
-        .unwrap_or_else(|e| die(e));
-        let wall = t0.elapsed();
-        write_report(out, &sweep.report);
-        println!(
-            "# journal {journal}: {} recovered, {} run, {} corrupt line(s) dropped",
-            sweep.recovered, sweep.ran, sweep.dropped_lines
-        );
-        println!(
-            "# {n} scenarios; wall-clock {:.2}s at {} threads; wrote {out}",
-            wall.as_secs_f64(),
-            pool.threads,
-        );
-        return;
-    }
-
-    let heartbeat = args.progress.then(|| Progress::new(n));
-    let (results, obs_written) = if let Some(obs_dir) = &args.obs {
-        let observed = run_sweep_observed(
-            &spec,
-            pool,
-            args.seed,
-            ObsConfig::default(),
-            heartbeat.as_ref(),
-        );
-        let dir = std::path::Path::new(obs_dir);
-        write_obs_outputs(dir, args.seed, &observed).unwrap_or_else(|e| die(e));
-        let results: Vec<_> = observed.into_iter().map(|(r, _)| r).collect();
-        (results, Some(obs_dir.as_str()))
-    } else {
-        (
-            run_sweep_with(&spec, pool, args.seed, heartbeat.as_ref()),
-            None,
-        )
+    let (json, status) = match (&args.journal, &mode) {
+        (Some(journal), Mode::Sweep(spec)) => {
+            let sweep = run_sweep_journaled(
+                spec,
+                pool,
+                args.seed,
+                Path::new(journal),
+                args.resume,
+                args.progress,
+            )
+            .unwrap_or_else(|e| die(e));
+            println!(
+                "# journal {journal}: {} recovered, {} run, {} corrupt line(s) dropped",
+                sweep.recovered, sweep.ran, sweep.dropped_lines
+            );
+            (sweep.report, format!("{n} runs"))
+        }
+        _ => {
+            let obs = args.obs.as_ref().map(|_| ObsConfig::default());
+            let runs = run_passes(&passes, pool, args.seed, obs, args.progress);
+            if let Some(dir) = &args.obs {
+                write_obs_outputs(Path::new(dir), args.seed, &runs).unwrap_or_else(|e| die(e));
+                println!("# obs: wrote event logs, time series and {dir}/obs_counts.json");
+            }
+            println!("{}", table_row("run", mode.columns()));
+            for run in &runs {
+                let name = &run.result.scenario.name;
+                match &run.result.outcome {
+                    Ok(m) => println!("{}", table_row(name, mode.cells(run, m))),
+                    Err(e) => println!("{name:<48} unavailable: {e}"),
+                }
+            }
+            let ok = runs.iter().filter(|r| r.result.outcome.is_ok()).count();
+            (mode.report(args.seed, runs), format!("{ok}/{n} runs ok"))
+        }
     };
     let wall = t0.elapsed();
-
-    println!(
-        "{:<40} {:>9} {:>10} {:>8} {:>12} {:>6}",
-        "scenario", "agg_ipc", "energy_pj", "rfms", "disturb(max)", "flips"
-    );
-    for r in &results {
-        match &r.outcome {
-            Ok(m) => println!(
-                "{:<40} {:>9.3} {:>10.3e} {:>8} {:>12} {:>6}",
-                r.scenario.name, m.aggregate_ipc, m.energy_pj, m.rfms, m.max_disturbance, m.flips
-            ),
-            Err(e) => println!("{:<40} unavailable: {e}", r.scenario.name),
-        }
-    }
-
-    let json = report::sweep_json(args.seed, &results);
     write_report(out, &json);
-    let ok = results.iter().filter(|r| r.outcome.is_ok()).count();
-    if let Some(dir) = obs_written {
-        println!("# obs: wrote event logs, time series and {dir}/obs_counts.json");
-    }
     println!(
-        "# {ok}/{} scenarios ok; wall-clock {:.2}s at {} threads; wrote {out}",
-        results.len(),
+        "# {status}; wall-clock {:.2}s at {} threads; wrote {out}",
         wall.as_secs_f64(),
         pool.threads,
     );

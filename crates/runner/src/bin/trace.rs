@@ -60,7 +60,7 @@ use mithril_fasthash::splitmix64_seed;
 use mithril_runner::engine::{default_threads, PoolConfig};
 use mithril_runner::report::{metrics_only_json, sweep_json};
 use mithril_runner::scenarios::{all_schemes, default_rfm_th, workload, SweepSpec};
-use mithril_runner::{run_sweep, run_sweep_observed, write_obs_outputs};
+use mithril_runner::{run_passes, write_obs_outputs};
 use mithril_sim::{ObsConfig, Scheme, SystemConfig};
 use mithril_trace::{
     read_header_path, record_thread_set, stats_from_reader, stats_from_resilient_reader,
@@ -327,16 +327,14 @@ fn cmd_replay(flags: Vec<String>, mut args: Args) {
         threads,
         shard_size,
     };
-    let results = match &obs_dir {
-        Some(dir) => {
-            let observed = run_sweep_observed(&spec, pool, base_seed, ObsConfig::default(), None);
-            write_obs_outputs(Path::new(dir), base_seed, &observed)
-                .unwrap_or_else(|e| die(&format!("--obs {dir}: {e}")));
-            eprintln!("# obs: wrote event logs, time series and {dir}/obs_counts.json");
-            observed.into_iter().map(|(r, _)| r).collect()
-        }
-        None => run_sweep(&spec, pool, base_seed),
-    };
+    let obs = obs_dir.as_ref().map(|_| ObsConfig::default());
+    let runs = run_passes(&[spec.scenarios()], pool, base_seed, obs, false);
+    if let Some(dir) = &obs_dir {
+        write_obs_outputs(Path::new(dir), base_seed, &runs)
+            .unwrap_or_else(|e| die(&format!("--obs {dir}: {e}")));
+        eprintln!("# obs: wrote event logs, time series and {dir}/obs_counts.json");
+    }
+    let results: Vec<_> = runs.into_iter().map(|r| r.result).collect();
 
     let mut table = String::new();
     for r in &results {

@@ -22,7 +22,8 @@ use std::sync::Mutex;
 /// Shard-pool sizing.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolConfig {
-    /// Worker threads. Clamped to at least 1.
+    /// Worker threads. Clamped to at least 1 and at most the number of
+    /// shards.
     pub threads: usize,
     /// Items per shard. Clamped to at least 1. Smaller shards balance
     /// load better; larger shards amortize steal overhead.
@@ -161,12 +162,15 @@ where
     R: Send,
     F: Fn(&T, u64) -> R + Sync,
 {
-    let threads = cfg.threads.max(1);
     let shard_size = cfg.shard_size.max(1);
     if items.is_empty() {
         return Vec::new();
     }
     let n_shards = items.len().div_ceil(shard_size);
+    // A worker without a shard would only spin up and retire; results do
+    // not depend on the worker count, so never start more than there are
+    // shards.
+    let threads = cfg.threads.clamp(1, n_shards);
 
     // Deal shards round-robin onto worker-local deques.
     let queues: Vec<Mutex<VecDeque<usize>>> =
@@ -428,6 +432,18 @@ mod tests {
             }]
         );
         assert!(out[0].clone().into_result().is_err());
+    }
+
+    #[test]
+    fn worker_count_is_clamped_to_the_shard_count() {
+        // Starts 3 workers, not usize::MAX: the pool never allocates or
+        // spawns a worker that has no shard to run.
+        let items = vec![1u32, 2, 3];
+        let cfg = PoolConfig {
+            threads: usize::MAX,
+            shard_size: 1,
+        };
+        assert_eq!(run_sharded(&items, cfg, 1, |&x, _| x), items);
     }
 
     #[test]

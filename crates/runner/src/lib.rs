@@ -4,13 +4,26 @@
 //!
 //! * [`scenarios`] — the registry of named workloads, scheme catalogs and
 //!   scheme × workload × geometry [`scenarios::SweepSpec`]s (the figure
-//!   binaries' shared source of truth);
+//!   binaries' shared source of truth), plus the fault and QoS campaigns
+//!   expressed as *passes* over a base grid;
 //! * [`engine`] — a std::thread work-stealing shard pool with
-//!   deterministic per-shard RNG seeding: the same base seed produces
+//!   deterministic per-position RNG seeding: the same base seed produces
 //!   bit-identical metrics at any worker count;
-//! * [`report`] — the deterministic `BENCH_sweep.json` writer.
+//! * [`report`] — the deterministic `BENCH_*.json` writers;
+//! * [`journal`] — the crash-safe completion journal behind
+//!   [`run_sweep_journaled`].
 //!
-//! The `sweep` binary ties the three together:
+//! Every sweep, campaign, journaled sweep and `trace replay` runs through
+//! one execution path: a scenario runs through
+//! [`Scenario::execute`](scenarios::Scenario::execute), and positions run
+//! on the pool through one function that seeds each by its position
+//! ([`engine::position_seed`]), turns a position that keeps panicking
+//! into an `Err` outcome, and calls one per-position callback (progress
+//! heartbeat, journal append). [`run_passes`] is its public face:
+//! each pass is seeded by position within the pass, so position `i` of
+//! every pass shares one seed. [`run_sweep`] is the one-pass case.
+//!
+//! The `sweep` binary ties these together:
 //!
 //! ```text
 //! cargo run --release -p mithril-runner --bin sweep -- --smoke --threads 4
@@ -19,21 +32,17 @@
 //! # Example
 //!
 //! ```
-//! use mithril_runner::engine::{run_sharded, PoolConfig};
+//! use mithril_runner::engine::PoolConfig;
+//! use mithril_runner::run_sweep;
 //! use mithril_runner::scenarios::SweepSpec;
 //!
 //! let mut spec = SweepSpec::smoke();
 //! spec.insts_per_core = 500; // keep the doctest quick
 //! spec.workloads.truncate(1);
 //! spec.geometries.truncate(1);
-//! let scenarios = spec.scenarios();
-//! let results = run_sharded(
-//!     &scenarios,
-//!     PoolConfig { threads: 2, shard_size: 1 },
-//!     42,
-//!     |s, seed| s.run(seed).map(|m| m.total_insts),
-//! );
-//! assert_eq!(results.len(), scenarios.len());
+//! let results = run_sweep(&spec, PoolConfig { threads: 2, shard_size: 1 }, 42);
+//! assert_eq!(results.len(), spec.scenarios().len());
+//! assert!(results.iter().all(|r| r.outcome.is_ok()));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,195 +57,162 @@ pub mod scenarios;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use engine::{ItemOutcome, PoolConfig, DEFAULT_RETRIES};
+use engine::{PoolConfig, DEFAULT_RETRIES};
 use mithril_obs::ObsCapture;
-use mithril_sim::ObsConfig;
-use report::{FaultRun, ObsCountEntry, SweepResult};
-use scenarios::{FaultCampaignSpec, QosCampaignSpec, Scenario, SweepSpec};
+use mithril_sim::{FaultStats, ObsConfig};
+use report::{ObsCountEntry, SweepResult};
+use scenarios::{Scenario, SweepSpec};
 
-/// A sweep heartbeat: worker threads [`tick`](Progress::tick) it after
-/// every finished scenario and it prints `# progress: done/total (name)`
-/// lines to **stderr** — never stdout, which carries the result table,
-/// and never the report, which must stay deterministic.
-///
-/// Journal-aware: a resumed sweep starts the counter at the number of
-/// recovered scenarios, so the heartbeat counts toward the same total an
+/// A sweep heartbeat: after every finished scenario it prints a
+/// `# progress: done/total (name)` line to **stderr** — never stdout,
+/// which carries the result table, and never the report, which must stay
+/// deterministic. A resumed journaled sweep starts the counter at the
+/// number of recovered scenarios, so it counts toward the same total an
 /// uninterrupted run would.
-#[derive(Debug)]
-pub struct Progress {
+struct Progress {
     done: AtomicUsize,
     total: usize,
 }
 
 impl Progress {
-    /// A heartbeat over `total` scenarios starting from zero done.
-    pub fn new(total: usize) -> Self {
-        Self::start_at(total, 0)
-    }
-
-    /// A heartbeat starting from `done` already-finished scenarios
-    /// (journal recovery).
-    pub fn start_at(total: usize, done: usize) -> Self {
-        Self {
-            done: AtomicUsize::new(done),
-            total,
+    fn tick(heartbeat: &Option<Progress>, name: &str) {
+        if let Some(p) = heartbeat {
+            let done = p.done.fetch_add(1, Ordering::Relaxed) + 1;
+            eprintln!("# progress: {done}/{} ({name})", p.total);
         }
     }
-
-    /// Records one finished scenario and prints the heartbeat line.
-    pub fn tick(&self, name: &str) {
-        let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
-        eprintln!("# progress: {done}/{} ({name})", self.total);
-    }
 }
 
-/// Executes `spec` on the shard pool and returns per-scenario results in
-/// registry order. Bit-identical for any `pool.threads`.
-///
-/// A scenario that *panics* (rather than erroring) is isolated: the
-/// engine retries it once with its original position seed and, if it
-/// keeps panicking, reports the panic as that scenario's `Err` outcome
-/// instead of taking the whole sweep down.
-pub fn run_sweep(spec: &SweepSpec, pool: PoolConfig, base_seed: u64) -> Vec<SweepResult> {
-    run_sweep_with(spec, pool, base_seed, None)
+/// One executed sweep position: the sweep result plus what the run
+/// produced beside its metrics.
+#[derive(Debug)]
+pub struct Executed {
+    /// The scenario, its position seed and its metrics (or error).
+    pub result: SweepResult,
+    /// Fault-injection counters (`None` for fault-free runs and errors).
+    pub fault_stats: Option<FaultStats>,
+    /// The observability capture (`None` unless observed, or on error).
+    pub capture: Option<ObsCapture>,
 }
 
-/// [`run_sweep`] with an optional [`Progress`] heartbeat ticked after
-/// every finished scenario.
-pub fn run_sweep_with(
-    spec: &SweepSpec,
+/// The one execution path: runs `scenarios[p]` for every `p` in
+/// `positions` on the shard pool, each under the seed of its position
+/// ([`engine::position_seed`]), and calls `done(p, executed)` on the
+/// worker as each run finishes. A scenario that keeps panicking through
+/// the retry budget becomes an `Err` outcome under its position seed
+/// instead of taking the sweep down (`done` is not called for it).
+/// Results come back in `positions` order, bit-identical at any
+/// `pool.threads`.
+fn execute(
+    scenarios: &[Scenario],
+    positions: &[usize],
     pool: PoolConfig,
     base_seed: u64,
-    progress: Option<&Progress>,
-) -> Vec<SweepResult> {
-    run_scenarios(spec.scenarios(), pool, base_seed, progress)
+    obs: Option<ObsConfig>,
+    done: impl Fn(usize, &Executed) + Sync,
+) -> Vec<Executed> {
+    let seed_of = |p| engine::position_seed(base_seed, pool.shard_size, p);
+    let outcomes =
+        engine::run_sharded_robust(positions, pool, base_seed, DEFAULT_RETRIES, |&p, _| {
+            let scenario = &scenarios[p];
+            let seed = seed_of(p);
+            let (outcome, fault_stats, capture) = match scenario.execute(seed, obs) {
+                Ok(run) => (Ok(run.metrics), run.fault_stats, run.capture),
+                Err(e) => (Err(e), None, None),
+            };
+            let executed = Executed {
+                result: SweepResult {
+                    scenario: scenario.clone(),
+                    seed,
+                    outcome,
+                },
+                fault_stats,
+                capture,
+            };
+            done(p, &executed);
+            executed
+        });
+    positions
+        .iter()
+        .zip(outcomes)
+        .map(|(&p, item)| {
+            item.into_result().unwrap_or_else(|e| Executed {
+                result: SweepResult {
+                    scenario: scenarios[p].clone(),
+                    seed: seed_of(p),
+                    outcome: Err(e),
+                },
+                fault_stats: None,
+                capture: None,
+            })
+        })
+        .collect()
 }
 
-/// Executes a QoS campaign (`spec.base` with QoS off, then the same grid
-/// with throttling on) and returns results in registry (off-pass-first)
-/// order. Bit-identical at any `pool.threads` like [`run_sweep`].
+/// Executes `passes` one after another on the shard pool and returns
+/// every position's [`Executed`] record, pass by pass in registry order.
 ///
-/// The two passes are seeded independently from the same `base_seed`, so
-/// a QoS-off run and its `+qos` twin execute under the **same** seed —
-/// every off/on pair differs only in the throttling policy, never in the
-/// workload's or scheme's RNG draw.
+/// Each pass is seeded by position *within the pass* from the same
+/// `base_seed`, so position `i` of every pass runs under one seed: a
+/// campaign's passes (QoS off/on, one fault rate each) differ only in
+/// what the passes change, never in the workload's or scheme's RNG
+/// draw. A plain sweep is one pass. With `obs`, every run is observed
+/// and carries its capture; with `progress`, a stderr heartbeat ticks
+/// after every finished run. Bit-identical at any `pool.threads`.
 ///
 /// ```
 /// use mithril_runner::engine::PoolConfig;
-/// use mithril_runner::run_qos_campaign;
+/// use mithril_runner::run_passes;
 /// use mithril_runner::scenarios::QosCampaignSpec;
 ///
 /// let mut spec = QosCampaignSpec::smoke();
 /// spec.base.insts_per_core = 400; // keep the doctest quick
 /// spec.base.cores = 2;
 /// let pool = PoolConfig { threads: 2, shard_size: 1 };
-/// let results = run_qos_campaign(&spec, pool, 7, None);
-/// let half = results.len() / 2;
+/// let runs = run_passes(&spec.passes(), pool, 7, None, false);
+/// let half = runs.len() / 2;
 /// // Position i of the off pass pairs with position half + i of the on
 /// // pass: same scenario, same seed, QoS policy flipped.
-/// assert_eq!(results[0].seed, results[half].seed);
+/// assert_eq!(runs[0].result.seed, runs[half].result.seed);
 /// assert_eq!(
-///     format!("{}+qos", results[0].scenario.name),
-///     results[half].scenario.name
+///     format!("{}+qos", runs[0].result.scenario.name),
+///     runs[half].result.scenario.name
 /// );
 /// ```
-pub fn run_qos_campaign(
-    spec: &QosCampaignSpec,
+pub fn run_passes(
+    passes: &[Vec<Scenario>],
     pool: PoolConfig,
     base_seed: u64,
-    progress: Option<&Progress>,
-) -> Vec<SweepResult> {
-    let all = spec.scenarios();
-    let per_pass = all.len() / 2;
-    let (off, on) = all.split_at(per_pass);
-    let mut results = run_scenarios(off.to_vec(), pool, base_seed, progress);
-    results.extend(run_scenarios(on.to_vec(), pool, base_seed, progress));
-    results
-}
-
-fn run_scenarios(
-    scenarios: Vec<Scenario>,
-    pool: PoolConfig,
-    base_seed: u64,
-    progress: Option<&Progress>,
-) -> Vec<SweepResult> {
-    let outcomes =
-        engine::run_sharded_robust(&scenarios, pool, base_seed, DEFAULT_RETRIES, |s, seed| {
-            let outcome = s.run(seed);
-            if let Some(p) = progress {
-                p.tick(&s.name);
-            }
-            (seed, outcome)
-        });
-    scenarios
-        .into_iter()
-        .enumerate()
-        .zip(outcomes)
-        .map(|((i, scenario), item)| {
-            let (seed, outcome) = match item.into_result() {
-                Ok((seed, outcome)) => (seed, outcome),
-                Err(e) => (engine::position_seed(base_seed, pool.shard_size, i), Err(e)),
-            };
-            SweepResult {
-                scenario,
-                seed,
-                outcome,
-            }
+    obs: Option<ObsConfig>,
+    progress: bool,
+) -> Vec<Executed> {
+    let heartbeat = progress.then(|| Progress {
+        done: AtomicUsize::new(0),
+        total: passes.iter().map(Vec::len).sum(),
+    });
+    passes
+        .iter()
+        .flat_map(|pass| {
+            let positions: Vec<usize> = (0..pass.len()).collect();
+            execute(pass, &positions, pool, base_seed, obs, |_, e| {
+                Progress::tick(&heartbeat, &e.result.scenario.name)
+            })
         })
         .collect()
 }
 
-/// Executes `spec` with ring-sink observability attached to every
-/// scenario and returns, per registry position, the sweep result plus
-/// its [`ObsCapture`] (`None` when the scenario errored or panicked
-/// before producing one).
+/// Executes `spec` on the shard pool and returns per-scenario results in
+/// registry order: [`run_passes`] over the one pass `spec.scenarios()`.
+/// Bit-identical for any `pool.threads`.
 ///
-/// Determinism: every position runs its own independent [`System`]
-/// seeded by sweep position, so both the metrics *and* the captures are
-/// bit-identical at any `pool.threads`.
-///
-/// [`System`]: mithril_sim::System
-pub fn run_sweep_observed(
-    spec: &SweepSpec,
-    pool: PoolConfig,
-    base_seed: u64,
-    obs: ObsConfig,
-    progress: Option<&Progress>,
-) -> Vec<(SweepResult, Option<ObsCapture>)> {
-    let scenarios = spec.scenarios();
-    let outcomes =
-        engine::run_sharded_robust(&scenarios, pool, base_seed, DEFAULT_RETRIES, |s, seed| {
-            let out = s.run_observed(seed, obs);
-            if let Some(p) = progress {
-                p.tick(&s.name);
-            }
-            match out {
-                Ok((metrics, capture)) => (seed, Ok(metrics), Some(capture)),
-                Err(e) => (seed, Err(e), None),
-            }
-        });
-    scenarios
+/// A scenario that *panics* (rather than erroring) is isolated: the
+/// engine retries it once with its original position seed and, if it
+/// keeps panicking, reports the panic as that scenario's `Err` outcome
+/// instead of taking the whole sweep down.
+pub fn run_sweep(spec: &SweepSpec, pool: PoolConfig, base_seed: u64) -> Vec<SweepResult> {
+    run_passes(&[spec.scenarios()], pool, base_seed, None, false)
         .into_iter()
-        .enumerate()
-        .zip(outcomes)
-        .map(|((i, scenario), item)| {
-            let (seed, outcome, capture) = match item.into_result() {
-                Ok((seed, outcome, capture)) => (seed, outcome, capture),
-                Err(e) => (
-                    engine::position_seed(base_seed, pool.shard_size, i),
-                    Err(e),
-                    None,
-                ),
-            };
-            (
-                SweepResult {
-                    scenario,
-                    seed,
-                    outcome,
-                },
-                capture,
-            )
-        })
+        .map(|e| e.result)
         .collect()
 }
 
@@ -271,13 +247,15 @@ fn sanitize_name(name: &str) -> String {
 pub fn write_obs_outputs(
     dir: &Path,
     base_seed: u64,
-    observed: &[(SweepResult, Option<ObsCapture>)],
+    observed: &[Executed],
 ) -> Result<String, String> {
     let io = |path: &Path, e: std::io::Error| format!("{}: {e}", path.display());
     std::fs::create_dir_all(dir).map_err(|e| io(dir, e))?;
     let mut entries = Vec::new();
-    for (index, (result, capture)) in observed.iter().enumerate() {
-        let Some(capture) = capture else { continue };
+    for (index, run) in observed.iter().enumerate() {
+        let (result, Some(capture)) = (&run.result, &run.capture) else {
+            continue;
+        };
         let sub = dir.join(format!(
             "{index:03}_{}",
             sanitize_name(&result.scenario.name)
@@ -305,52 +283,6 @@ pub fn write_obs_outputs(
     Ok(counts)
 }
 
-/// Executes a fault-resilience campaign (`spec.base` × `spec.rates_ppm`)
-/// and returns one [`FaultRun`] per scenario in registry (rate-major)
-/// order. Fault plans are seeded by sweep position, so the campaign is
-/// bit-identical at any `pool.threads`.
-pub fn run_fault_campaign(
-    spec: &FaultCampaignSpec,
-    pool: PoolConfig,
-    base_seed: u64,
-) -> Vec<FaultRun> {
-    let scenarios = spec.scenarios();
-    let outcomes =
-        engine::run_sharded_robust(&scenarios, pool, base_seed, DEFAULT_RETRIES, |s, seed| {
-            (seed, s.run_detailed(seed))
-        });
-    let per_rate = scenarios.len() / spec.rates_ppm.len().max(1);
-    scenarios
-        .into_iter()
-        .enumerate()
-        .zip(outcomes)
-        .map(|((i, scenario), item)| {
-            let rate_ppm = scenario.faults.map_or_else(
-                || *spec.rates_ppm.get(i / per_rate.max(1)).unwrap_or(&0),
-                |f| f.rate_ppm,
-            );
-            let (seed, outcome, fault_stats) = match item.into_result() {
-                Ok((seed, Ok((metrics, stats)))) => (seed, Ok(metrics), stats),
-                Ok((seed, Err(e))) => (seed, Err(e), None),
-                Err(e) => (
-                    engine::position_seed(base_seed, pool.shard_size, i),
-                    Err(e),
-                    None,
-                ),
-            };
-            FaultRun {
-                rate_ppm,
-                result: SweepResult {
-                    scenario,
-                    seed,
-                    outcome,
-                },
-                fault_stats,
-            }
-        })
-        .collect()
-}
-
 /// The outcome of a journaled (crash-safe) sweep.
 #[derive(Debug)]
 pub struct JournaledSweep {
@@ -370,28 +302,17 @@ pub struct JournaledSweep {
 /// flushed) *before* the sweep moves on, so a killed process loses only
 /// in-flight work. With `resume`, an existing journal for the same seed
 /// and spec is recovered first — corrupt or torn lines are dropped and
-/// re-run — and only missing scenarios execute, each seeded by its sweep
-/// *position*. The assembled report is byte-identical to what an
-/// uninterrupted [`run_sweep`] + [`report::sweep_json`] would produce.
+/// re-run — and only missing scenarios execute, on the same path as
+/// [`run_passes`] and each seeded by its sweep *position*. The assembled
+/// report is byte-identical to what an uninterrupted [`run_sweep`] +
+/// [`report::sweep_json`] would produce. With `progress`, the stderr
+/// heartbeat starts at the number of recovered scenarios.
 ///
 /// # Errors
 ///
 /// Journal I/O failure, or a journal that belongs to a different sweep
 /// (seed or spec fingerprint mismatch).
 pub fn run_sweep_journaled(
-    spec: &SweepSpec,
-    pool: PoolConfig,
-    base_seed: u64,
-    path: &Path,
-    resume: bool,
-) -> Result<JournaledSweep, String> {
-    run_sweep_journaled_with(spec, pool, base_seed, path, resume, false)
-}
-
-/// [`run_sweep_journaled`] with an optional stderr [`Progress`]
-/// heartbeat; the counter starts at the number of journal-recovered
-/// scenarios so it counts toward the full sweep total.
-pub fn run_sweep_journaled_with(
     spec: &SweepSpec,
     pool: PoolConfig,
     base_seed: u64,
@@ -409,53 +330,20 @@ pub fn run_sweep_journaled_with(
         let writer = journal::JournalWriter::create(path, base_seed, fp)?;
         (vec![None; scenarios.len()], 0, writer)
     };
-    let recovered = entries.iter().filter(|e| e.is_some()).count();
-
-    let missing: Vec<(usize, &Scenario)> = entries
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| e.is_none())
-        .map(|(i, _)| (i, &scenarios[i]))
+    let missing: Vec<usize> = (0..scenarios.len())
+        .filter(|&i| entries[i].is_none())
         .collect();
-    let ran = missing.len();
-    let heartbeat = progress.then(|| Progress::start_at(scenarios.len(), recovered));
-
-    // The engine seeds by position in `missing`, which shifts on resume;
-    // seed by position in the *full* scenario list instead, so resumed
-    // and uninterrupted runs execute identical work.
-    let outcomes = engine::run_sharded_robust(
-        &missing,
-        pool,
-        base_seed,
-        DEFAULT_RETRIES,
-        |&(index, scenario), _| {
-            let seed = engine::position_seed(base_seed, pool.shard_size, index);
-            let result = SweepResult {
-                scenario: scenario.clone(),
-                seed,
-                outcome: scenario.run(seed),
-            };
-            let entry = report::result_json(&result);
-            writer.record(index, entry.trim_start());
-            if let Some(p) = &heartbeat {
-                p.tick(&scenario.name);
-            }
-            entry
-        },
-    );
-    for (&(index, scenario), item) in missing.iter().zip(outcomes) {
-        let entry = match item {
-            ItemOutcome::Done(entry) => entry,
-            panicked => {
-                let seed = engine::position_seed(base_seed, pool.shard_size, index);
-                report::result_json(&SweepResult {
-                    scenario: scenario.clone(),
-                    seed,
-                    outcome: Err(panicked.into_result().unwrap_err()),
-                })
-            }
-        };
-        entries[index] = Some(entry.trim_start().to_string());
+    let recovered = scenarios.len() - missing.len();
+    let heartbeat = progress.then(|| Progress {
+        done: AtomicUsize::new(recovered),
+        total: scenarios.len(),
+    });
+    let ran = execute(&scenarios, &missing, pool, base_seed, None, |p, e| {
+        writer.record(p, report::result_json(&e.result).trim_start());
+        Progress::tick(&heartbeat, &e.result.scenario.name);
+    });
+    for (&p, e) in missing.iter().zip(&ran) {
+        entries[p] = Some(report::result_json(&e.result).trim_start().to_string());
     }
 
     let full: Vec<String> = entries
@@ -466,6 +354,6 @@ pub fn run_sweep_journaled_with(
         report: report::sweep_json_from_entries(base_seed, &full),
         recovered,
         dropped_lines,
-        ran,
+        ran: ran.len(),
     })
 }

@@ -11,7 +11,9 @@ use mithril_dram::EnergyCounters;
 use mithril_sim::{ChannelMetrics, CoreStats, FaultStats, Metrics, PerCore, QosStats};
 
 use crate::scenarios::{geometry_tag, Scenario};
+use crate::Executed;
 
+use mithril_obs::json::esc;
 pub use mithril_obs::{validate_format_version, FORMAT_VERSION};
 use mithril_obs::{KINDS, KIND_NAMES};
 
@@ -24,32 +26,6 @@ pub struct SweepResult {
     pub seed: u64,
     /// The run's metrics, or the configuration error that prevented it.
     pub outcome: Result<Metrics, String>,
-}
-
-/// One fault-campaign run: a sweep result plus the injection counters
-/// its [`FaultyEngine`](mithril_sim::FaultyEngine) wrappers accumulated.
-#[derive(Debug, Clone)]
-pub struct FaultRun {
-    /// Injected fault rate in faults per million ACTs (0 = anchor run).
-    pub rate_ppm: u64,
-    /// The executed scenario and its metrics.
-    pub result: SweepResult,
-    /// Aggregated fault counters (`None` for the rate-0 anchor).
-    pub fault_stats: Option<FaultStats>,
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn num(x: f64) -> String {
@@ -312,7 +288,7 @@ pub fn sweep_json_from_entries(base_seed: u64, entries: &[String]) -> String {
 ///
 /// Deterministic like [`sweep_json`]: identical campaigns render to
 /// identical strings at any worker count.
-pub fn faults_json(base_seed: u64, scrub: bool, rates_ppm: &[u64], runs: &[FaultRun]) -> String {
+pub fn faults_json(base_seed: u64, scrub: bool, rates_ppm: &[u64], runs: &[Executed]) -> String {
     let entries: Vec<String> = runs
         .iter()
         .map(|fr| {
@@ -323,7 +299,7 @@ pub fn faults_json(base_seed: u64, scrub: bool, rates_ppm: &[u64], runs: &[Fault
             format!(
                 "    {{{},\"rate_ppm\":{},\"fault_stats\":{}}}",
                 result_json_fields(&fr.result),
-                fr.rate_ppm,
+                fr.result.scenario.fault_rate_ppm(),
                 faults
             )
         })
@@ -358,7 +334,7 @@ pub fn faults_json(base_seed: u64, scrub: bool, rates_ppm: &[u64], runs: &[Fault
                     Ok(m) => format!(
                         "{{\"rate_ppm\":{},\"injected\":{},\"repairs\":{},\
                          \"max_disturbance\":{},\"flips\":{},\"rfms\":{},\"preventive_rows\":{}}}",
-                        fr.rate_ppm,
+                        fr.result.scenario.fault_rate_ppm(),
                         fr.fault_stats.as_ref().map_or(0, |f| f.injected()),
                         fr.fault_stats.as_ref().map_or(0, |f| f.repairs),
                         m.max_disturbance,
@@ -366,7 +342,11 @@ pub fn faults_json(base_seed: u64, scrub: bool, rates_ppm: &[u64], runs: &[Fault
                         m.rfms,
                         m.counters.preventive_rows
                     ),
-                    Err(e) => format!("{{\"rate_ppm\":{},\"error\":\"{}\"}}", fr.rate_ppm, esc(e)),
+                    Err(e) => format!(
+                        "{{\"rate_ppm\":{},\"error\":\"{}\"}}",
+                        fr.result.scenario.fault_rate_ppm(),
+                        esc(e)
+                    ),
                 })
                 .collect();
             format!(
@@ -392,46 +372,71 @@ pub fn faults_json(base_seed: u64, scrub: bool, rates_ppm: &[u64], runs: &[Fault
 
 /// Per-tenant outcome summary of one noisy-neighbor run: worst victim
 /// tail latency, the hammering tenant's tail, an activations fairness
-/// ratio, flip safety, and QoS throttle attribution.
+/// ratio, flip safety, and QoS throttle attribution. The `sweep --qos`
+/// table and the [`qos_campaign_json`] pairs both read it.
 ///
 /// The noisy-neighbor mix pins the hammering tenant on the **highest
 /// core index** (victims occupy the lower indices), so tenant roles are
 /// recovered from core position, not from a heuristic.
-fn tenant_summary_json(m: &Metrics) -> String {
-    let hammer = m.per_core.iter().map(|(core, _)| core).max();
-    let victims: Vec<&CoreStats> = m
-        .per_core
-        .iter()
-        .filter(|(core, _)| Some(*core) != hammer)
-        .map(|(_, c)| c)
-        .collect();
-    let victim_p50 = victims
-        .iter()
-        .map(|c| c.read_latency.p50())
-        .max()
-        .unwrap_or(0);
-    let victim_p99 = victims
-        .iter()
-        .map(|c| c.read_latency.p99())
-        .max()
-        .unwrap_or(0);
-    let hammer_p99 = hammer
-        .and_then(|h| m.per_core.get(h))
-        .map_or(0, |c| c.read_latency.p99());
-    let acts: Vec<u64> = m.per_core.iter().map(|(_, c)| c.acts).collect();
-    let fairness = match (acts.iter().min(), acts.iter().max()) {
-        (Some(&lo), Some(&hi)) if hi > 0 => lo as f64 / hi as f64,
-        _ => 0.0,
-    };
-    format!(
-        "{{\"victim_p50_ps\":{victim_p50},\"victim_p99_ps\":{victim_p99},\
-         \"hammer_p99_ps\":{hammer_p99},\"fairness_acts\":{},\"flips\":{},\
-         \"max_disturbance\":{},\"qos_throttled_acts\":{}}}",
-        num(fairness),
-        m.flips,
-        m.max_disturbance,
-        m.qos.as_ref().map_or(0, |q| q.throttled_acts)
-    )
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TenantSummary {
+    /// Worst victim read p50, in ps.
+    pub victim_p50_ps: u64,
+    /// Worst victim read p99, in ps.
+    pub victim_p99_ps: u64,
+    /// The hammering tenant's read p99, in ps.
+    pub hammer_p99_ps: u64,
+    /// min/max per-tenant activations (1.0 = perfectly fair).
+    pub fairness_acts: f64,
+    /// Bit flips in the run.
+    pub flips: usize,
+    /// Worst disturbance any row reached.
+    pub max_disturbance: u64,
+    /// ACTs the QoS throttle deferred (0 with QoS off).
+    pub qos_throttled_acts: u64,
+}
+
+impl TenantSummary {
+    /// Summarizes `m` by tenant role.
+    pub fn of(m: &Metrics) -> Self {
+        let hammer = m.per_core.iter().map(|(core, _)| core).max();
+        let victims = || {
+            m.per_core
+                .iter()
+                .filter(move |(core, _)| Some(*core) != hammer)
+                .map(|(_, c)| &c.read_latency)
+        };
+        let acts: Vec<u64> = m.per_core.iter().map(|(_, c)| c.acts).collect();
+        Self {
+            victim_p50_ps: victims().map(|h| h.p50()).max().unwrap_or(0),
+            victim_p99_ps: victims().map(|h| h.p99()).max().unwrap_or(0),
+            hammer_p99_ps: hammer
+                .and_then(|h| m.per_core.get(h))
+                .map_or(0, |c| c.read_latency.p99()),
+            fairness_acts: match (acts.iter().min(), acts.iter().max()) {
+                (Some(&lo), Some(&hi)) if hi > 0 => lo as f64 / hi as f64,
+                _ => 0.0,
+            },
+            flips: m.flips,
+            max_disturbance: m.max_disturbance,
+            qos_throttled_acts: m.qos.as_ref().map_or(0, |q| q.throttled_acts),
+        }
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"victim_p50_ps\":{},\"victim_p99_ps\":{},\
+             \"hammer_p99_ps\":{},\"fairness_acts\":{},\"flips\":{},\
+             \"max_disturbance\":{},\"qos_throttled_acts\":{}}}",
+            self.victim_p50_ps,
+            self.victim_p99_ps,
+            self.hammer_p99_ps,
+            num(self.fairness_acts),
+            self.flips,
+            self.max_disturbance,
+            self.qos_throttled_acts
+        )
+    }
 }
 
 /// Renders a QoS campaign to the `BENCH_qos.json` format: the flat run
@@ -461,8 +466,8 @@ pub fn qos_campaign_json(base_seed: u64, results: &[SweepResult]) -> String {
                 esc(&off.scenario.scheme_label),
                 esc(&off.scenario.workload),
                 geometry_tag(&off.scenario.geometry),
-                tenant_summary_json(m_off),
-                tenant_summary_json(m_on)
+                TenantSummary::of(m_off).json(),
+                TenantSummary::of(m_on).json()
             ))
         })
         .collect();
@@ -633,12 +638,6 @@ mod tests {
         results[0].outcome = Err("no \"config\"".into());
         let s = sweep_json(1, &results);
         assert!(s.contains("\"error\":\"no \\\"config\\\"\""));
-    }
-
-    #[test]
-    fn escapes_control_characters() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("\u{1}"), "\\u0001");
     }
 
     #[test]

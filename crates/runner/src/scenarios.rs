@@ -251,46 +251,51 @@ pub fn workload_compatible(name: &str, geometry: &Geometry) -> bool {
 /// so figure binaries and sweeps stay comparable.
 const MAX_TIME_PS_PER_INST: u64 = 4_000;
 
-fn run_capped_detailed(
-    cfg: SystemConfig,
-    workload_name: &str,
-    insts_per_core: u64,
-    seed: u64,
-) -> Result<(Metrics, Option<FaultStats>), String> {
-    let threads = workload(workload_name, cfg.cores, &cfg, seed);
-    let mut sys = System::new(cfg, threads)?;
-    let max_time = insts_per_core.saturating_mul(MAX_TIME_PS_PER_INST);
-    let metrics = sys.run(insts_per_core, max_time);
-    let faults = sys.fault_stats();
-    Ok((metrics, faults))
+/// Everything one scenario run produces: its metrics, the fault counters
+/// (`None` unless the run injected faults; they live outside [`Metrics`]
+/// so fault-free reports stay byte-identical) and, when the run was
+/// observed, the observability capture.
+#[derive(Debug)]
+pub struct Run {
+    /// The run's metrics.
+    pub metrics: Metrics,
+    /// Aggregated fault-injection counters, when faults were enabled.
+    pub fault_stats: Option<FaultStats>,
+    /// Structured events and cycle-domain time series, when observed.
+    pub capture: Option<ObsCapture>,
 }
 
+/// Runs `workload_name` on `cfg` for `insts_per_core`, capped at
+/// [`MAX_TIME_PS_PER_INST`]. With `obs`, the controllers record events
+/// into ring sinks and the system samples probes; the metrics are the
+/// same as unobserved, because the instrumentation only reads state.
 fn run_capped(
     cfg: SystemConfig,
     workload_name: &str,
     insts_per_core: u64,
     seed: u64,
-) -> Result<Metrics, String> {
-    run_capped_detailed(cfg, workload_name, insts_per_core, seed).map(|(m, _)| m)
-}
-
-/// [`run_capped_detailed`] with ring-sink observability attached: the
-/// same run, but the controllers record structured events and the system
-/// samples cycle-domain probes. The metrics are identical to the
-/// unobserved run — the instrumentation only reads simulator state.
-fn run_capped_observed(
-    cfg: SystemConfig,
-    workload_name: &str,
-    insts_per_core: u64,
-    seed: u64,
-    obs: ObsConfig,
-) -> Result<(Metrics, ObsCapture), String> {
+    obs: Option<ObsConfig>,
+) -> Result<Run, String> {
     let threads = workload(workload_name, cfg.cores, &cfg, seed);
-    let mut sys = System::with_obs(cfg, threads, obs)?;
     let max_time = insts_per_core.saturating_mul(MAX_TIME_PS_PER_INST);
-    let metrics = sys.run(insts_per_core, max_time);
-    let capture = sys.take_obs();
-    Ok((metrics, capture))
+    Ok(match obs {
+        None => {
+            let mut sys = System::new(cfg, threads)?;
+            Run {
+                metrics: sys.run(insts_per_core, max_time),
+                fault_stats: sys.fault_stats(),
+                capture: None,
+            }
+        }
+        Some(obs) => {
+            let mut sys = System::with_obs(cfg, threads, obs)?;
+            Run {
+                metrics: sys.run(insts_per_core, max_time),
+                fault_stats: sys.fault_stats(),
+                capture: Some(sys.take_obs()),
+            }
+        }
+    })
 }
 
 /// Runs one configuration over one workload for `insts_per_core`.
@@ -299,7 +304,8 @@ fn run_capped_observed(
 ///
 /// Panics if the scheme cannot be configured at `cfg.flip_th`.
 pub fn run_one(cfg: SystemConfig, workload_name: &str, insts_per_core: u64, seed: u64) -> Metrics {
-    run_capped(cfg, workload_name, insts_per_core, seed)
+    run_capped(cfg, workload_name, insts_per_core, seed, None)
+        .map(|r| r.metrics)
         .unwrap_or_else(|e| panic!("{} @ FlipTH {}: {e}", cfg.scheme.name(), cfg.flip_th))
 }
 
@@ -416,6 +422,11 @@ impl Scenario {
         cfg
     }
 
+    /// Injected fault rate in faults per million ACTs (0 = fault-free).
+    pub fn fault_rate_ppm(&self) -> u64 {
+        self.faults.map_or(0, |f| f.rate_ppm)
+    }
+
     /// Runs the scenario under `seed` and returns its metrics.
     ///
     /// # Errors
@@ -423,33 +434,17 @@ impl Scenario {
     /// Returns an error string when the scheme cannot be configured for
     /// this scenario's `flip_th`.
     pub fn run(&self, seed: u64) -> Result<Metrics, String> {
+        self.execute(seed, None).map(|r| r.metrics)
+    }
+
+    /// Runs the scenario under `seed` and returns everything the run
+    /// produced; with `obs` the run is observed (see [`Run`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Scenario::run`].
+    pub fn execute(&self, seed: u64, obs: Option<ObsConfig>) -> Result<Run, String> {
         run_capped(
-            self.system_config(seed),
-            &self.workload,
-            self.insts_per_core,
-            seed,
-        )
-    }
-
-    /// Like [`Scenario::run`], additionally returning the aggregated
-    /// fault-injection counters when this scenario runs with faults
-    /// enabled (`None` otherwise — the stats live outside [`Metrics`] so
-    /// fault-free reports stay byte-identical).
-    pub fn run_detailed(&self, seed: u64) -> Result<(Metrics, Option<FaultStats>), String> {
-        run_capped_detailed(
-            self.system_config(seed),
-            &self.workload,
-            self.insts_per_core,
-            seed,
-        )
-    }
-
-    /// Like [`Scenario::run`], additionally returning the observability
-    /// capture (structured events + cycle-domain time series) recorded
-    /// under `obs`. The metrics are identical to [`Scenario::run`]'s —
-    /// observability reads simulator state but never steers it.
-    pub fn run_observed(&self, seed: u64, obs: ObsConfig) -> Result<(Metrics, ObsCapture), String> {
-        run_capped_observed(
             self.system_config(seed),
             &self.workload,
             self.insts_per_core,
@@ -609,14 +604,15 @@ impl FaultCampaignSpec {
         }
     }
 
-    /// Expands the campaign into concrete scenarios, rate-major: the full
-    /// base grid at `rates_ppm[0]`, then at `rates_ppm[1]`, and so on.
-    pub fn scenarios(&self) -> Vec<Scenario> {
-        let mut out = Vec::new();
-        for &rate in &self.rates_ppm {
-            for mut s in self.base.scenarios() {
-                s.name = format!("{}@f{rate}ppm", s.name);
-                s.faults = (rate > 0).then(|| {
+    /// Expands the campaign into one pass per rate, in `rates_ppm` order:
+    /// each pass is the full base grid at that rate. Passes are seeded
+    /// by position within the pass, so every rate's run of a cell uses
+    /// the same seed and the points of a curve differ only in the rate.
+    pub fn passes(&self) -> Vec<Vec<Scenario>> {
+        self.rates_ppm
+            .iter()
+            .map(|&rate| {
+                let faults = (rate > 0).then(|| {
                     let cfg = FaultConfig::mixed(rate);
                     if self.scrub {
                         cfg
@@ -624,10 +620,17 @@ impl FaultCampaignSpec {
                         cfg.without_scrub()
                     }
                 });
-                out.push(s);
-            }
-        }
-        out
+                self.base
+                    .scenarios()
+                    .into_iter()
+                    .map(|mut s| {
+                        s.name = format!("{}@f{rate}ppm", s.name);
+                        s.faults = faults;
+                        s
+                    })
+                    .collect()
+            })
+            .collect()
     }
 }
 
@@ -676,17 +679,22 @@ impl QosCampaignSpec {
         }
     }
 
-    /// Expands the campaign into concrete scenarios: the full base grid
-    /// QoS-off first (bit-identical to a plain sweep over `base`), then
-    /// the same grid QoS-on with `+qos` name suffixes.
-    pub fn scenarios(&self) -> Vec<Scenario> {
-        let mut out = self.base.scenarios();
-        for mut s in self.base.scenarios() {
-            s.name = format!("{}+qos", s.name);
-            s.qos = QosPolicy::Throttle(self.qos);
-            out.push(s);
-        }
-        out
+    /// Expands the campaign into its two passes: the base grid QoS-off
+    /// (bit-identical to a plain sweep over `base`), then the same grid
+    /// QoS-on with `+qos` name suffixes. Both passes are seeded by
+    /// position within the pass, so each off/on pair shares one seed.
+    pub fn passes(&self) -> Vec<Vec<Scenario>> {
+        let on = self
+            .base
+            .scenarios()
+            .into_iter()
+            .map(|mut s| {
+                s.name = format!("{}+qos", s.name);
+                s.qos = QosPolicy::Throttle(self.qos);
+                s
+            })
+            .collect();
+        vec![self.base.scenarios(), on]
     }
 }
 
@@ -697,19 +705,25 @@ mod tests {
     #[test]
     fn qos_campaign_pairs_off_and_on_passes() {
         let spec = QosCampaignSpec::smoke();
-        let scenarios = spec.scenarios();
-        let per_pass = spec.base.scenarios().len();
-        assert_eq!(scenarios.len(), per_pass * 2);
-        assert!(scenarios[..per_pass]
+        let passes = spec.passes();
+        let [off_pass, on_pass] = &passes[..] else {
+            panic!("a QoS campaign has exactly two passes");
+        };
+        assert_eq!(off_pass.len(), spec.base.scenarios().len());
+        assert_eq!(on_pass.len(), off_pass.len());
+        assert!(off_pass
             .iter()
             .all(|s| s.qos == QosPolicy::Off && !s.name.ends_with("+qos")));
-        for (off, on) in scenarios[..per_pass].iter().zip(&scenarios[per_pass..]) {
+        for (off, on) in off_pass.iter().zip(on_pass) {
             assert_eq!(on.name, format!("{}+qos", off.name));
             assert_eq!(on.qos, QosPolicy::Throttle(spec.qos));
             assert_eq!(on.workload, off.workload);
             assert_eq!(on.scheme_label, off.scheme_label);
         }
-        assert!(scenarios.iter().all(|s| s.workload == "noisy-neighbor"));
+        assert!(passes
+            .iter()
+            .flatten()
+            .all(|s| s.workload == "noisy-neighbor"));
     }
 
     #[test]
@@ -723,13 +737,14 @@ mod tests {
     #[test]
     fn fault_campaign_expands_rate_major_with_anchor() {
         let spec = FaultCampaignSpec::smoke();
-        let scenarios = spec.scenarios();
+        let passes = spec.passes();
+        assert_eq!(passes.len(), spec.rates_ppm.len());
         let per_rate = spec.base.scenarios().len();
-        assert_eq!(scenarios.len(), per_rate * spec.rates_ppm.len());
-        assert!(scenarios[..per_rate]
+        assert!(passes.iter().all(|p| p.len() == per_rate));
+        assert!(passes[0]
             .iter()
             .all(|s| s.faults.is_none() && s.name.ends_with("@f0ppm")));
-        let last = &scenarios[scenarios.len() - 1];
+        let last = passes.last().and_then(|p| p.last()).unwrap();
         let faults = last.faults.expect("non-zero rates carry a FaultConfig");
         assert_eq!(faults.rate_ppm, *spec.rates_ppm.last().unwrap());
         assert!(faults.scrub);

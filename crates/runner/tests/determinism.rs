@@ -5,7 +5,7 @@
 use mithril_runner::engine::{run_sharded_robust, PoolConfig};
 use mithril_runner::report::{faults_json, sweep_json};
 use mithril_runner::scenarios::{FaultCampaignSpec, SweepSpec};
-use mithril_runner::{run_fault_campaign, run_sweep, run_sweep_journaled};
+use mithril_runner::{run_passes, run_sweep, run_sweep_journaled};
 
 fn tiny_spec() -> SweepSpec {
     let mut spec = SweepSpec::smoke();
@@ -80,13 +80,15 @@ fn tiny_campaign() -> FaultCampaignSpec {
 
 fn campaign_report_at(threads: usize, seed: u64) -> String {
     let spec = tiny_campaign();
-    let runs = run_fault_campaign(
-        &spec,
+    let runs = run_passes(
+        &spec.passes(),
         PoolConfig {
             threads,
             shard_size: 1,
         },
         seed,
+        None,
+        false,
     );
     faults_json(seed, spec.scrub, &spec.rates_ppm, &runs)
 }
@@ -102,6 +104,29 @@ fn fault_campaign_is_identical_at_1_2_and_8_threads() {
         !base.contains("\"fault_stats\":{\"bit_flips\":0,\"invalidations\":0,\"stuck_bits\":0")
             || base.matches("\"fault_stats\":{").count() > 1
     );
+}
+
+#[test]
+fn fault_curve_points_of_a_cell_share_the_anchor_seed() {
+    // Each rate is its own pass over the base grid, seeded by position
+    // within the pass: the `@f0ppm` anchor and every `@f<r>ppm` point of
+    // a cell run under one seed, so a curve varies only in the rate.
+    let spec = tiny_campaign();
+    let runs = run_passes(&spec.passes(), PoolConfig::default(), 42, None, false);
+    let per_rate = spec.base.scenarios().len();
+    assert_eq!(runs.len(), per_rate * spec.rates_ppm.len());
+    let (anchors, faulted) = runs.split_at(per_rate);
+    for (i, run) in faulted.iter().enumerate() {
+        let anchor = &anchors[i % per_rate].result;
+        let base_name = anchor.scenario.name.trim_end_matches("@f0ppm");
+        assert_eq!(
+            run.result.scenario.name.split('@').next(),
+            Some(base_name),
+            "runs must line up cell by cell"
+        );
+        assert!(run.result.scenario.name.ends_with("@f10000ppm"));
+        assert_eq!(run.result.seed, anchor.seed, "{base_name}: seed differs");
+    }
 }
 
 #[test]
@@ -166,7 +191,7 @@ fn resumed_journal_reproduces_the_uninterrupted_report() {
     let path = dir.join("sweep.mtrj");
 
     let baseline = sweep_json(42, &run_sweep(&spec, pool, 42));
-    let full = run_sweep_journaled(&spec, pool, 42, &path, false).unwrap();
+    let full = run_sweep_journaled(&spec, pool, 42, &path, false, false).unwrap();
     assert_eq!(full.report, baseline, "journaled run diverged");
     assert_eq!(full.recovered, 0);
 
@@ -176,7 +201,7 @@ fn resumed_journal_reproduces_the_uninterrupted_report() {
     let keep: Vec<&str> = text.lines().take(8).collect();
     std::fs::write(&path, format!("{}\n9 fee1dead {{\"na", keep.join("\n"))).unwrap();
 
-    let resumed = run_sweep_journaled(&spec, pool, 42, &path, true).unwrap();
+    let resumed = run_sweep_journaled(&spec, pool, 42, &path, true, false).unwrap();
     assert_eq!(resumed.report, baseline, "resumed report diverged");
     assert_eq!(resumed.recovered, 7);
     assert_eq!(resumed.dropped_lines, 1, "torn record must be dropped");

@@ -5,7 +5,7 @@
 use mithril_runner::engine::PoolConfig;
 use mithril_runner::report::{obs_counts_json, sweep_json, validate_format_version};
 use mithril_runner::scenarios::SweepSpec;
-use mithril_runner::{run_sweep, run_sweep_observed, write_obs_outputs};
+use mithril_runner::{run_passes, run_sweep, write_obs_outputs, Executed};
 use mithril_sim::ObsConfig;
 
 fn tiny_spec() -> SweepSpec {
@@ -22,14 +22,27 @@ fn pool(threads: usize) -> PoolConfig {
     }
 }
 
+/// The tiny sweep run observed on `threads` workers.
+fn observed(threads: usize, seed: u64, obs: ObsConfig) -> Vec<Executed> {
+    run_passes(
+        &[tiny_spec().scenarios()],
+        pool(threads),
+        seed,
+        Some(obs),
+        false,
+    )
+}
+
 /// The full deterministic obs projection of one observed sweep: every
 /// per-position event log and time series plus the aggregate counts.
 fn obs_fingerprint(threads: usize, seed: u64, obs: ObsConfig) -> String {
-    let observed = run_sweep_observed(&tiny_spec(), pool(threads), seed, obs, None);
     let mut out = String::new();
-    for (result, capture) in &observed {
-        let capture = capture.as_ref().expect("every scenario produces a capture");
-        out.push_str(&format!("== {}\n", result.scenario.name));
+    for run in &observed(threads, seed, obs) {
+        let capture = run
+            .capture
+            .as_ref()
+            .expect("every scenario produces a capture");
+        out.push_str(&format!("== {}\n", run.result.scenario.name));
         out.push_str(&capture.events_jsonl());
         out.push_str(&capture.series_csv());
         out.push_str(&capture.summary_json());
@@ -45,8 +58,10 @@ fn observed_metrics_equal_unobserved_metrics_over_seeds() {
     let spec = tiny_spec();
     for seed in [1u64, 42, 1234] {
         let plain = sweep_json(seed, &run_sweep(&spec, pool(2), seed));
-        let observed = run_sweep_observed(&spec, pool(2), seed, ObsConfig::default(), None);
-        let results: Vec<_> = observed.into_iter().map(|(r, _)| r).collect();
+        let results: Vec<_> = observed(2, seed, ObsConfig::default())
+            .into_iter()
+            .map(|r| r.result)
+            .collect();
         let with_obs = sweep_json(seed, &results);
         assert_eq!(plain, with_obs, "obs changed the simulation at seed {seed}");
         validate_format_version(&plain).expect("report must carry format_version");
@@ -65,24 +80,13 @@ fn obs_output_is_identical_at_1_2_and_8_threads() {
 
 #[test]
 fn obs_counts_baseline_is_thread_count_invariant_and_versioned() {
-    let spec = tiny_spec();
     let dir_a = std::env::temp_dir().join("mithril-obs-test-a");
     let dir_b = std::env::temp_dir().join("mithril-obs-test-b");
     for d in [&dir_a, &dir_b] {
         let _ = std::fs::remove_dir_all(d);
     }
-    let a = write_obs_outputs(
-        &dir_a,
-        7,
-        &run_sweep_observed(&spec, pool(1), 7, ObsConfig::default(), None),
-    )
-    .unwrap();
-    let b = write_obs_outputs(
-        &dir_b,
-        7,
-        &run_sweep_observed(&spec, pool(8), 7, ObsConfig::default(), None),
-    )
-    .unwrap();
+    let a = write_obs_outputs(&dir_a, 7, &observed(1, 7, ObsConfig::default())).unwrap();
+    let b = write_obs_outputs(&dir_b, 7, &observed(8, 7, ObsConfig::default())).unwrap();
     assert_eq!(a, b, "obs_counts.json diverged across thread counts");
     validate_format_version(&a).expect("baseline must carry format_version");
     assert_eq!(

@@ -7,8 +7,8 @@
 //! be byte-identical at any worker-thread count.
 
 use mithril_runner::engine::PoolConfig;
-use mithril_runner::report::qos_campaign_json;
-use mithril_runner::run_qos_campaign;
+use mithril_runner::report::{qos_campaign_json, SweepResult};
+use mithril_runner::run_passes;
 use mithril_runner::scenarios::QosCampaignSpec;
 use mithril_sim::Metrics;
 
@@ -17,6 +17,14 @@ fn pool(threads: usize) -> PoolConfig {
         threads,
         shard_size: 1,
     }
+}
+
+/// Both passes of `spec` (QoS off, then on) on `threads` workers.
+fn run_campaign(spec: &QosCampaignSpec, threads: usize, seed: u64) -> Vec<SweepResult> {
+    run_passes(&spec.passes(), pool(threads), seed, None, false)
+        .into_iter()
+        .map(|r| r.result)
+        .collect()
 }
 
 /// The smoke campaign at a horizon long enough for suspect election to
@@ -52,7 +60,7 @@ fn fairness(m: &Metrics) -> f64 {
 #[test]
 fn throttling_improves_victims_at_equal_flip_safety() {
     let spec = acceptance_spec();
-    let results = run_qos_campaign(&spec, pool(2), 1, None);
+    let results = run_campaign(&spec, 2, 1);
     let per_pass = results.len() / 2;
     let off_res = results
         .iter()
@@ -113,7 +121,7 @@ fn campaign_report_at(threads: usize) -> String {
     let mut spec = QosCampaignSpec::smoke();
     spec.base.insts_per_core = 2_000;
     spec.base.cores = 3;
-    let results = run_qos_campaign(&spec, pool(threads), 9, None);
+    let results = run_campaign(&spec, threads, 9);
     qos_campaign_json(9, &results)
 }
 

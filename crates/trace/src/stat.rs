@@ -9,6 +9,7 @@
 
 use mithril_fasthash::FastHashMap;
 use mithril_memctrl::AddressMapping;
+use mithril_obs::json::esc;
 use mithril_trackers::{FrequencyTracker, SpaceSaving};
 use mithril_workloads::TraceOp;
 
@@ -221,22 +222,6 @@ pub fn stats_from_resilient_reader<R: std::io::Read + std::io::Seek>(
         }
     }
     Ok((collector.finish(), reader.report()))
-}
-
-/// Minimal JSON string escaping (the source name is the only free-form
-/// string in the report).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl TraceStats {
